@@ -18,7 +18,7 @@ import time
 import warnings
 from pathlib import Path
 
-from windforecast import ann, harness, regression, stats
+from windforecast import ann, harness, stats
 from windforecast.dataset import (
     FeatureSet,
     SplitSpec,
@@ -35,17 +35,15 @@ def featured_plot_data(dataset, out_dir: Path, seed: int, epochs: int) -> None:
     train_ds, test_ds = split(dataset, SplitSpec(train_fraction=0.85, seed=seed))
     fs = FeatureSet.SPEED_DIRECTION_TEMPERATURE
     train_m, test_m = select_features(train_ds, fs), select_features(test_ds, fs)
-    models = {
-        "linear": regression.fit_ols(train_m),
-        "polynomial_deg5": regression.fit_polynomial(train_m, 5),
+    ann_train = ann.TrainConfig(epochs=epochs, seed=seed)
+    fits = {
+        label: harness.fit_model(
+            name, train_m, degree=5, ann_train=ann_train, target_scale=dataset.rated_power
+        )
+        for label, name in (("linear", "linear"), ("polynomial_deg5", "polynomial"), ("ann", "ann"))
     }
-    net = ann.init_network(train_m.k, seed=seed)
-    trained, history = ann.train(
-        net, train_m, ann.TrainConfig(epochs=epochs, seed=seed), target_scale=dataset.rated_power
-    )
-    models["ann"] = trained
-    (out_dir / "ann_loss_history.csv").write_text(ann.history_to_csv(history))
-    for name, model in models.items():
+    (out_dir / "ann_loss_history.csv").write_text(ann.history_to_csv(fits["ann"][1]))
+    for name, (model, _) in fits.items():
         (out_dir / f"{name}_power_curve.csv").write_text(
             harness.emit_power_curve_points(model, test_m)
         )
@@ -77,18 +75,11 @@ def main(argv=None) -> int:
     (out_dir / "correlation_heatmap.csv").write_text(stats.heatmap_csv(cm))
     print(f"corr(speed, power) = {cm.lookup('wind_speed', 'power'):.6f}")
 
-    if args.quick:
-        cfg = harness.SweepConfig(
-            train_fractions=(0.85, 0.70),
-            degrees=(2, 5),
-            seed=args.seed,
-            ann_train=ann.TrainConfig(epochs=min(args.epochs, 3), seed=args.seed),
-        )
-    else:
-        cfg = harness.SweepConfig(
-            seed=args.seed,
-            ann_train=ann.TrainConfig(epochs=args.epochs, seed=args.seed),
-        )
+    grid = dict(train_fractions=(0.85, 0.70), degrees=(2, 5)) if args.quick else {}
+    epochs = min(args.epochs, 3) if args.quick else args.epochs
+    cfg = harness.SweepConfig(
+        seed=args.seed, ann_train=ann.TrainConfig(epochs=epochs, seed=args.seed), **grid
+    )
     with warnings.catch_warnings():
         # raw degree-5 direction monomials trip the condition warning on
         # every fit; the estimate is recorded per model, keep the log quiet

@@ -19,6 +19,7 @@ from .errors import (
     DimensionMismatch,
     InvalidArchitecture,
     InvalidConfig,
+    MalformedModel,
     NonFiniteLoss,
 )
 
@@ -412,22 +413,27 @@ def to_json(model: MlpModel) -> str:
 
 def from_json(text: str) -> MlpModel:
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise MalformedModel(f"model document must be a JSON object, got {type(doc).__name__}")
     if doc.get("schema") != _MLP_SCHEMA:
-        raise ValueError(f"unknown model schema {doc.get('schema')!r}")
-    sizes = tuple(doc["layer_sizes"])
-    weights = tuple(
-        np.asarray(flat, dtype=np.float64).reshape(sizes[l + 1], sizes[l])
-        for l, flat in enumerate(doc["weights"])
-    )
-    scaler = doc["input_scaler"]
-    return MlpModel(
-        layer_sizes=sizes,
-        activations=tuple(doc["activations"]),
-        weights=weights,
-        biases=tuple(np.asarray(b, dtype=np.float64) for b in doc["biases"]),
-        input_scaler=None if scaler is None else MinMaxScaler(mins=scaler["mins"], maxs=scaler["maxs"]),
-        target_scale=doc["target_scale"],
-    )
+        raise MalformedModel(f"unknown model schema {doc.get('schema')!r}")
+    try:
+        sizes = tuple(doc["layer_sizes"])
+        weights = tuple(
+            np.asarray(flat, dtype=np.float64).reshape(sizes[l + 1], sizes[l])
+            for l, flat in enumerate(doc["weights"])
+        )
+        scaler = doc["input_scaler"]
+        return MlpModel(
+            layer_sizes=sizes,
+            activations=tuple(doc["activations"]),
+            weights=weights,
+            biases=tuple(np.asarray(b, dtype=np.float64) for b in doc["biases"]),
+            input_scaler=None if scaler is None else MinMaxScaler(mins=scaler["mins"], maxs=scaler["maxs"]),
+            target_scale=doc["target_scale"],
+        )
+    except KeyError as exc:
+        raise MalformedModel(f"{_MLP_SCHEMA} document has no {exc} key") from None
 
 
 def history_to_csv(history: TrainHistory) -> str:

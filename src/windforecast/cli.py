@@ -30,6 +30,9 @@ from .metrics import EvalReport
 
 GRADCHECK_TOLERANCE = 1e-4
 
+# SyntheticConfig field -> the type of its default, for gen's flags and config file
+_SYNTHETIC_TYPES = {f.name: type(f.default) for f in dataclass_fields(SyntheticConfig)}
+
 
 class _UsageError(Exception):
     """Command-line misuse that argparse cannot express declaratively."""
@@ -73,7 +76,6 @@ def _read_config_file(path: Path) -> dict:
     """Flat key=value synthetic config; '#' starts a comment."""
     if not path.exists():
         raise DataError(f"config file not found: {path}")
-    valid = {f.name for f in dataclass_fields(SyntheticConfig)}
     values = {}
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -83,27 +85,21 @@ def _read_config_file(path: Path) -> dict:
             raise InvalidConfig(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, raw = body.partition("=")
         key = key.strip()
-        if key not in valid:
+        if key not in _SYNTHETIC_TYPES:
             raise InvalidConfig(f"{path}:{lineno}: unknown key {key!r}")
-        raw = raw.strip()
-        values[key] = int(raw) if key in ("n_samples", "seed") else float(raw)
+        kind = _SYNTHETIC_TYPES[key]
+        try:
+            values[key] = kind(raw.strip())
+        except ValueError:
+            raise InvalidConfig(
+                f"{path}:{lineno}: {key} must be {kind.__name__}, got {raw.strip()!r}"
+            ) from None
     return values
 
 
 def _cmd_gen(args) -> int:
     values = _read_config_file(Path(args.config)) if args.config else {}
-    for name in (
-        "n_samples",
-        "cut_in_speed",
-        "rated_speed",
-        "cut_out_speed",
-        "rated_power",
-        "air_density",
-        "rotor_area",
-        "power_coefficient",
-        "noise_sd",
-        "seed",
-    ):
+    for name in _SYNTHETIC_TYPES:
         flag_value = getattr(args, name)
         if flag_value is not None:
             values[name] = flag_value
@@ -131,10 +127,18 @@ def _cmd_correlate(args) -> int:
     return 0
 
 
-def _split_matrices(dataset, args):
+def _split_and_fit(dataset, args):
+    """Fit ``args.model`` on its train split; returns (model, history, test matrix)."""
     fs = FeatureSet.parse(args.features)
     train_ds, test_ds = split(dataset, SplitSpec(train_fraction=args.train_fraction, seed=args.seed))
-    return select_features(train_ds, fs), select_features(test_ds, fs)
+    model, history = harness.fit_model(
+        args.model,
+        select_features(train_ds, fs),
+        degree=args.degree,
+        ann_train=ann.TrainConfig(epochs=args.epochs, seed=args.seed),
+        target_scale=dataset.rated_power,
+    )
+    return model, history, select_features(test_ds, fs)
 
 
 def _require_degree(command: str, args):
@@ -143,29 +147,19 @@ def _require_degree(command: str, args):
 
 
 def _fit_single(dataset, args):
-    """Fit one configured model; returns (model_or_None, report, extras)."""
+    """Fit and score one configured model; returns (model, history, report), None where absent."""
     if args.model == "persistence":
         actual, predicted = harness.persistence_forecast(dataset, args.horizon)
-        return None, EvalReport.from_predictions(actual, predicted), {}
-    train_m, test_m = _split_matrices(dataset, args)
-    if args.model == "linear":
-        model = regression.fit_ols(train_m)
-    elif args.model == "polynomial":
-        model = regression.fit_polynomial(train_m, args.degree)
-    else:
-        cfg = ann.TrainConfig(epochs=args.epochs, seed=args.seed)
-        net = ann.init_network(train_m.k, seed=args.seed)
-        model, history = ann.train(net, train_m, cfg, target_scale=dataset.rated_power)
-        predicted = ann.predict(model, test_m)
-        return model, EvalReport.from_predictions(test_m.target, predicted), {"history": history}
+        return None, None, EvalReport.from_predictions(actual, predicted)
+    model, history, test_m = _split_and_fit(dataset, args)
     predicted = harness.predict_with(model, test_m)
-    return model, EvalReport.from_predictions(test_m.target, predicted), {}
+    return model, history, EvalReport.from_predictions(test_m.target, predicted)
 
 
 def _cmd_fit(args) -> int:
     _require_degree("fit", args)
     dataset = _load_dataset(args)
-    model, report, extras = _fit_single(dataset, args)
+    model, history, report = _fit_single(dataset, args)
     print(f"model={args.model} features={args.features} train_fraction={args.train_fraction}")
     print(f"mae={report.mae:.5f} kW")
     print(f"rmse={report.rmse:.5f} kW")
@@ -176,7 +170,7 @@ def _cmd_fit(args) -> int:
         model_path = out / f"{args.model}_model.json"
         if isinstance(model, ann.MlpModel):
             model_path.write_text(ann.to_json(model))
-            (out / "ann_loss_history.csv").write_text(ann.history_to_csv(extras["history"]))
+            (out / "ann_loss_history.csv").write_text(ann.history_to_csv(history))
         else:
             model_path.write_text(regression.to_json(model))
         print(f"wrote {model_path}")
@@ -186,13 +180,13 @@ def _cmd_fit(args) -> int:
 def _cmd_sweep(args) -> int:
     dataset = _load_dataset(args)
     cfg = harness.SweepConfig(
-        train_fractions=tuple(_floats(args.train_fraction)),
-        feature_sets=tuple(_feature_sets(args.features)),
-        degrees=tuple(_ints(args.degree)),
+        train_fractions=args.train_fraction,
+        feature_sets=_feature_sets(args.features),
+        degrees=args.degree,
         models=tuple(m.strip() for m in args.model.split(",") if m.strip()),
         seed=args.seed,
         ann_train=ann.TrainConfig(epochs=args.epochs, seed=args.seed),
-        persistence_horizons=tuple(_ints(args.horizons)),
+        persistence_horizons=args.horizons,
     )
     rows = harness.run_sweep(dataset, cfg)
     out = _out_dir(args)
@@ -210,15 +204,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_plot_data(args) -> int:
     _require_degree("plot-data", args)
     dataset = _load_dataset(args)
-    train_m, test_m = _split_matrices(dataset, args)
-    if args.model == "linear":
-        model = regression.fit_ols(train_m)
-    elif args.model == "polynomial":
-        model = regression.fit_polynomial(train_m, args.degree)
-    else:
-        cfg = ann.TrainConfig(epochs=args.epochs, seed=args.seed)
-        net = ann.init_network(train_m.k, seed=args.seed)
-        model, _ = ann.train(net, train_m, cfg, target_scale=dataset.rated_power)
+    model, _, test_m = _split_and_fit(dataset, args)
     out = _out_dir(args)
     curve_path = out / f"{args.model}_power_curve.csv"
     scatter_path = out / f"{args.model}_pred_vs_actual.csv"
@@ -263,6 +249,17 @@ def _cmd_gradcheck(args) -> int:
     return 0
 
 
+def _add_model_flags(command: argparse.ArgumentParser, models: tuple[str, ...]) -> None:
+    """The data, model and split flags that fit and plot-data share (see _split_and_fit)."""
+    command.add_argument("--data", required=True)
+    command.add_argument("--model", choices=models, default="linear")
+    command.add_argument("--features", default="speed_direction_temperature")
+    command.add_argument("--degree", type=int, default=None)
+    command.add_argument("--train-fraction", dest="train_fraction", type=float, default=0.85)
+    command.add_argument("--seed", type=int, default=42)
+    command.add_argument("--epochs", type=int, default=20)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="windforecast", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -270,16 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="generate a synthetic dataset CSV")
     gen.add_argument("--out", required=True, help="output CSV path")
     gen.add_argument("--config", help="flat key=value config file")
-    gen.add_argument("--n-samples", dest="n_samples", type=int, default=None)
-    gen.add_argument("--cut-in-speed", dest="cut_in_speed", type=float, default=None)
-    gen.add_argument("--rated-speed", dest="rated_speed", type=float, default=None)
-    gen.add_argument("--cut-out-speed", dest="cut_out_speed", type=float, default=None)
-    gen.add_argument("--rated-power", dest="rated_power", type=float, default=None)
-    gen.add_argument("--air-density", dest="air_density", type=float, default=None)
-    gen.add_argument("--rotor-area", dest="rotor_area", type=float, default=None)
-    gen.add_argument("--power-coefficient", dest="power_coefficient", type=float, default=None)
-    gen.add_argument("--noise-sd", dest="noise_sd", type=float, default=None)
-    gen.add_argument("--seed", type=int, default=None)
+    for name, kind in _SYNTHETIC_TYPES.items():
+        gen.add_argument("--" + name.replace("_", "-"), dest=name, type=kind, default=None)
     gen.set_defaults(func=_cmd_gen)
 
     correlate = sub.add_parser("correlate", help="correlation matrix and heatmap plot data")
@@ -289,13 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     correlate.set_defaults(func=_cmd_correlate)
 
     fit = sub.add_parser("fit", help="fit one model and print its evaluation")
-    fit.add_argument("--data", required=True)
-    fit.add_argument("--model", choices=("persistence", "linear", "polynomial", "ann"), default="linear")
-    fit.add_argument("--features", default="speed_direction_temperature")
-    fit.add_argument("--degree", type=int, default=None)
-    fit.add_argument("--train-fraction", dest="train_fraction", type=float, default=0.85)
-    fit.add_argument("--seed", type=int, default=42)
-    fit.add_argument("--epochs", type=int, default=20)
+    _add_model_flags(fit, harness.MODEL_ORDER)
     fit.add_argument("--horizon", type=int, default=1, help="persistence steps ahead")
     fit.add_argument("--rated-power", dest="rated_power", type=float, default=None)
     fit.add_argument("--out-dir", dest="out_dir", default=None, help="save the fitted model here")
@@ -307,30 +290,25 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--train-fraction",
         dest="train_fraction",
+        type=_floats,
         default=",".join(str(f) for f in harness.DEFAULT_FRACTIONS),
     )
     sweep.add_argument(
         "--features",
         default=",".join(fs.tag for fs in FeatureSet),
     )
-    sweep.add_argument("--degree", default="2,3,4,5")
+    sweep.add_argument("--degree", type=_ints, default="2,3,4,5")
     sweep.add_argument("--model", default=",".join(harness.MODEL_ORDER))
     sweep.add_argument("--epochs", type=int, default=20)
     sweep.add_argument(
-        "--horizons", default=",".join(str(h) for h in harness.DEFAULT_HORIZONS)
+        "--horizons", type=_ints, default=",".join(str(h) for h in harness.DEFAULT_HORIZONS)
     )
     sweep.add_argument("--rated-power", dest="rated_power", type=float, default=None)
     sweep.add_argument("--out-dir", dest="out_dir", default=".")
     sweep.set_defaults(func=_cmd_sweep)
 
     plot_data = sub.add_parser("plot-data", help="power-curve and pred-vs-actual plot files")
-    plot_data.add_argument("--data", required=True)
-    plot_data.add_argument("--model", choices=("linear", "polynomial", "ann"), default="linear")
-    plot_data.add_argument("--features", default="speed_direction_temperature")
-    plot_data.add_argument("--degree", type=int, default=None)
-    plot_data.add_argument("--train-fraction", dest="train_fraction", type=float, default=0.85)
-    plot_data.add_argument("--seed", type=int, default=42)
-    plot_data.add_argument("--epochs", type=int, default=20)
+    _add_model_flags(plot_data, harness.TRAINABLE_MODELS)
     plot_data.add_argument("--rated-power", dest="rated_power", type=float, default=None)
     plot_data.add_argument("--out-dir", dest="out_dir", default=".")
     plot_data.set_defaults(func=_cmd_plot_data)

@@ -24,6 +24,7 @@ from .errors import (
     EmptyInput,
     InvalidConfig,
     MalformedHeader,
+    MixedTimezones,
     NonMonotonicTimestamps,
     RowParseError,
 )
@@ -92,8 +93,15 @@ class Dataset:
                 failures.append((i, reason))
         if failures:
             raise RowParseError(failures)
-        for prev, cur in zip(records, records[1:]):
-            if cur.timestamp <= prev.timestamp:
+        for row, (prev, cur) in enumerate(zip(records, records[1:]), start=2):
+            try:
+                out_of_order = cur.timestamp <= prev.timestamp
+            except TypeError:
+                raise MixedTimezones(
+                    f"row {row}: timestamp {cur.timestamp.isoformat()} and row {row - 1}'s "
+                    f"{prev.timestamp.isoformat()} mix offset-naive and offset-aware forms"
+                ) from None
+            if out_of_order:
                 raise NonMonotonicTimestamps(
                     f"timestamp {cur.timestamp.isoformat()} does not increase past "
                     f"{prev.timestamp.isoformat()}"

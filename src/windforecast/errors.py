@@ -28,6 +28,10 @@ class NonMonotonicTimestamps(DataError):
     """Timestamps are not strictly increasing."""
 
 
+class MixedTimezones(DataError):
+    """Offset-naive and offset-aware timestamps meet, so they cannot be ordered."""
+
+
 class RowParseError(DataError):
     """One or more rows failed to parse or violated record invariants.
 
@@ -97,6 +101,10 @@ class FeatureMismatch(DataError):
 
 class DegreeOutOfRange(DataError):
     """Polynomial degree outside the supported range [2, 5]."""
+
+
+class MalformedModel(DataError, ValueError):
+    """A saved model document is not an object, lacks a key or has an unknown schema."""
 
 
 class ConditionWarning(UserWarning):

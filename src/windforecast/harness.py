@@ -8,9 +8,10 @@ failed-row records instead of aborting the sweep.
 
 from __future__ import annotations
 
+import functools
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -21,6 +22,9 @@ from .metrics import EvalReport
 from .regression import LinearModel, PolynomialModel
 
 MODEL_ORDER = ("persistence", "linear", "polynomial", "ann")
+
+# the models fit_model can fit; persistence needs no training
+TRAINABLE_MODELS = MODEL_ORDER[1:]
 
 SWEEP_SCHEMA = "windforecast.sweep.v1"
 
@@ -108,24 +112,45 @@ def predict_with(model, m: DesignMatrix) -> np.ndarray:
     raise FeatureMismatch(f"cannot predict with {type(model).__name__}")
 
 
-def _scored_row(actual, predicted, rated_power, **fields) -> SweepRow:
-    predicted = np.asarray(predicted, dtype=np.float64)
-    oob = float(np.mean((predicted < 0) | (predicted > rated_power)))
-    return SweepRow(
-        report=EvalReport.from_predictions(actual, predicted),
-        out_of_bounds_fraction=oob,
-        error=None,
-        **fields,
-    )
+def fit_model(
+    name: str,
+    train: DesignMatrix,
+    *,
+    degree: int | None = None,
+    ann_train: ann.TrainConfig = ann.TrainConfig(),
+    target_scale: float | None = None,
+):
+    """Fit one trainable model by name; returns ``(model, history)``.
+
+    The one place a model name picks a fit. The ANN starts from
+    ``init_network(seed=ann_train.seed)``; ``history`` is its
+    ``TrainHistory`` and None for the regressions.
+    """
+    if name == "linear":
+        return regression.fit_ols(train), None
+    if name == "polynomial":
+        return regression.fit_polynomial(train, degree), None
+    if name == "ann":
+        net = ann.init_network(train.k, seed=ann_train.seed)
+        return ann.train(net, train, ann_train, target_scale=target_scale)
+    raise InvalidConfig(f"unknown model {name!r}; choose from {TRAINABLE_MODELS}")
 
 
-def _failed_row(exc: Exception, **fields) -> SweepRow:
-    return SweepRow(
-        report=None,
-        out_of_bounds_fraction=None,
-        error=f"{type(exc).__name__}: {exc}",
-        **fields,
-    )
+def _grid(cfg: SweepConfig):
+    """Each row's identifying fields in (model, feature_set, fraction, degree) order."""
+    for name in cfg.models:
+        if name == "persistence":
+            for horizon in cfg.persistence_horizons:
+                yield dict(
+                    model=name, feature_set=None, train_fraction=None, degree=None, horizon=horizon
+                )
+            continue
+        for fs in cfg.feature_sets:
+            for fraction in cfg.train_fractions:
+                for degree in cfg.degrees if name == "polynomial" else (None,):
+                    yield dict(
+                        model=name, feature_set=fs, train_fraction=fraction, degree=degree, horizon=None
+                    )
 
 
 def run_sweep(d: Dataset, cfg: SweepConfig = SweepConfig()) -> list[SweepRow]:
@@ -134,111 +159,57 @@ def run_sweep(d: Dataset, cfg: SweepConfig = SweepConfig()) -> list[SweepRow]:
     The split for a given fraction uses the sweep seed and is reused across
     models and feature sets. Identical inputs yield an identical row list.
     """
-    split_cache: dict[float, tuple[Dataset, Dataset]] = {}
-    matrix_cache: dict[tuple[float, FeatureSet], tuple[DesignMatrix, DesignMatrix]] = {}
 
+    @functools.cache
+    def splits(fraction: float) -> tuple[Dataset, Dataset]:
+        return split(d, SplitSpec(train_fraction=fraction, seed=cfg.seed))
+
+    @functools.cache
     def matrices(fraction: float, fs: FeatureSet) -> tuple[DesignMatrix, DesignMatrix]:
-        key = (fraction, fs)
-        if key not in matrix_cache:
-            if fraction not in split_cache:
-                split_cache[fraction] = split(d, SplitSpec(train_fraction=fraction, seed=cfg.seed))
-            train_ds, test_ds = split_cache[fraction]
-            matrix_cache[key] = (select_features(train_ds, fs), select_features(test_ds, fs))
-        return matrix_cache[key]
+        train_ds, test_ds = splits(fraction)
+        return select_features(train_ds, fs), select_features(test_ds, fs)
 
+    fit_args = dict(ann_train=cfg.ann_train, target_scale=d.rated_power)
     rows: list[SweepRow] = []
-    for model_name in cfg.models:
-        if model_name == "persistence":
-            for horizon in cfg.persistence_horizons:
-                fields = dict(
-                    model="persistence",
-                    feature_set=None,
-                    train_fraction=None,
-                    degree=None,
-                    horizon=horizon,
-                )
-                try:
-                    actual, predicted = persistence_forecast(d, horizon)
-                    rows.append(_scored_row(actual, predicted, d.rated_power, **fields))
-                except Exception as exc:
-                    rows.append(_failed_row(exc, **fields))
-        elif model_name == "linear":
-            for fs in cfg.feature_sets:
-                for fraction in cfg.train_fractions:
-                    fields = dict(
-                        model="linear",
-                        feature_set=fs,
-                        train_fraction=fraction,
-                        degree=None,
-                        horizon=None,
-                    )
-                    try:
-                        train_m, test_m = matrices(fraction, fs)
-                        model = regression.fit_ols(train_m)
-                        predicted = regression.predict_linear(model, test_m)
-                        rows.append(_scored_row(test_m.target, predicted, d.rated_power, **fields))
-                    except Exception as exc:
-                        rows.append(_failed_row(exc, **fields))
-        elif model_name == "polynomial":
-            for fs in cfg.feature_sets:
-                for fraction in cfg.train_fractions:
-                    for degree in cfg.degrees:
-                        fields = dict(
-                            model="polynomial",
-                            feature_set=fs,
-                            train_fraction=fraction,
-                            degree=degree,
-                            horizon=None,
-                        )
-                        try:
-                            train_m, test_m = matrices(fraction, fs)
-                            model = regression.fit_polynomial(train_m, degree)
-                            predicted = regression.predict_polynomial(model, test_m)
-                            rows.append(
-                                _scored_row(test_m.target, predicted, d.rated_power, **fields)
-                            )
-                        except Exception as exc:
-                            rows.append(_failed_row(exc, **fields))
-        elif model_name == "ann":
-            for fs in cfg.feature_sets:
-                for fraction in cfg.train_fractions:
-                    fields = dict(
-                        model="ann",
-                        feature_set=fs,
-                        train_fraction=fraction,
-                        degree=None,
-                        horizon=None,
-                    )
-                    try:
-                        train_m, test_m = matrices(fraction, fs)
-                        net = ann.init_network(train_m.k, seed=cfg.ann_train.seed)
-                        trained, _ = ann.train(
-                            net, train_m, cfg.ann_train, target_scale=d.rated_power
-                        )
-                        predicted = ann.predict(trained, test_m)
-                        rows.append(_scored_row(test_m.target, predicted, d.rated_power, **fields))
-                    except Exception as exc:
-                        rows.append(_failed_row(exc, **fields))
+    for fields in _grid(cfg):
+        try:
+            if fields["model"] == "persistence":
+                actual, predicted = persistence_forecast(d, fields["horizon"])
+            else:
+                train_m, test_m = matrices(fields["train_fraction"], fields["feature_set"])
+                model, _ = fit_model(fields["model"], train_m, degree=fields["degree"], **fit_args)
+                actual, predicted = test_m.target, predict_with(model, test_m)
+            oob = float(np.mean((predicted < 0) | (predicted > d.rated_power)))
+            report = EvalReport.from_predictions(actual, predicted)
+            rows.append(SweepRow(**fields, report=report, out_of_bounds_fraction=oob))
+        except Exception as exc:
+            error = f"{type(exc).__name__}: {exc}"
+            rows.append(SweepRow(**fields, report=None, out_of_bounds_fraction=None, error=error))
     return rows
 
 
 # -- report writers -----------------------------------------------------------
 
-def _row_dict(row: SweepRow) -> dict:
-    report = row.report
-    return {
-        "model": row.model,
-        "feature_set": None if row.feature_set is None else row.feature_set.tag,
-        "train_fraction": row.train_fraction,
-        "degree": row.degree,
-        "horizon": row.horizon,
-        "n_test": None if report is None else report.n_samples,
-        "mae": None if report is None else report.mae,
-        "rmse": None if report is None else report.rmse,
-        "r_squared": None if report is None else report.r_squared,
-        "out_of_bounds_fraction": row.out_of_bounds_fraction,
-        "status": "ok" if row.error is None else row.error,
-    }
+SWEEP_COLUMNS = ("model", "feature_set", "train_fraction", "degree", "horizon", "n_test",
+                 "mae", "rmse", "r_squared", "out_of_bounds_fraction", "status")
+
+
+def _row_values(row: SweepRow) -> tuple:
+    """One report row, in ``SWEEP_COLUMNS`` order."""
+    r = row.report
+    scores = (None,) * 4 if r is None else (r.n_samples, r.mae, r.rmse, r.r_squared)
+    tag = None if row.feature_set is None else row.feature_set.tag
+    status = "ok" if row.error is None else row.error
+    return (
+        row.model,
+        tag,
+        row.train_fraction,
+        row.degree,
+        row.horizon,
+        *scores,
+        row.out_of_bounds_fraction,
+        status,
+    )
 
 
 def _csv_cell(value) -> str:
@@ -256,23 +227,9 @@ def sweep_csv(rows: list[SweepRow]) -> str:
     buf = io.StringIO()
     buf.write(f"# schema={SWEEP_SCHEMA}\n")
     writer = _csv.writer(buf, lineterminator="\n")
-    header = (
-        "model",
-        "feature_set",
-        "train_fraction",
-        "degree",
-        "horizon",
-        "n_test",
-        "mae",
-        "rmse",
-        "r_squared",
-        "out_of_bounds_fraction",
-        "status",
-    )
-    writer.writerow(header)
+    writer.writerow(SWEEP_COLUMNS)
     for row in rows:
-        d = _row_dict(row)
-        writer.writerow(tuple(_csv_cell(d[name]) for name in header))
+        writer.writerow(tuple(_csv_cell(value) for value in _row_values(row)))
     return buf.getvalue()
 
 
@@ -287,15 +244,9 @@ def sweep_json(rows: list[SweepRow], cfg: SweepConfig) -> str:
             "models": list(cfg.models),
             "seed": cfg.seed,
             "persistence_horizons": list(cfg.persistence_horizons),
-            "ann_train": {
-                "epochs": cfg.ann_train.epochs,
-                "batch_size": cfg.ann_train.batch_size,
-                "learning_rate": cfg.ann_train.learning_rate,
-                "seed": cfg.ann_train.seed,
-                "optimizer": cfg.ann_train.optimizer,
-            },
+            "ann_train": asdict(cfg.ann_train),
         },
-        "rows": [_row_dict(row) for row in rows],
+        "rows": [dict(zip(SWEEP_COLUMNS, _row_values(row))) for row in rows],
     }
     return json.dumps(doc, indent=2)
 

@@ -24,6 +24,7 @@ from .errors import (
     ConditionWarning,
     DegreeOutOfRange,
     FeatureMismatch,
+    MalformedModel,
     RankDeficient,
     TooFewRows,
 )
@@ -110,6 +111,15 @@ def _term_name(exponents: tuple[int, ...], feature_names: tuple[str, ...]) -> st
     return "*".join(parts) if parts else "1"
 
 
+def _times_monomial(rows: np.ndarray, exponents: tuple[int, ...], start: np.ndarray) -> np.ndarray:
+    """``start`` times the monomial ``exponents`` of ``rows``, factor by factor in feature order."""
+    col = start
+    for feat, exp in enumerate(exponents):
+        if exp:
+            col = col * rows[:, feat] ** exp
+    return col
+
+
 def expand_polynomial(m: DesignMatrix, degree: int) -> DesignMatrix:
     """All monomials of the base features up to ``degree``, cross terms included.
 
@@ -120,11 +130,7 @@ def expand_polynomial(m: DesignMatrix, degree: int) -> DesignMatrix:
     exponents = monomial_exponents(m.k, degree)
     cols = np.empty((m.n, len(exponents)))
     for j, e in enumerate(exponents):
-        col = np.ones(m.n)
-        for feat, exp in enumerate(e):
-            if exp:
-                col = col * m.rows[:, feat] ** exp
-        cols[:, j] = col
+        cols[:, j] = _times_monomial(m.rows, e, np.ones(m.n))
     names = tuple(_term_name(e, m.feature_names) for e in exponents)
     return DesignMatrix(rows=cols, target=m.target, feature_names=names)
 
@@ -220,11 +226,7 @@ def predict_polynomial(model: PolynomialModel, m: DesignMatrix) -> np.ndarray:
         )
     out = np.zeros(m.n)
     for coef, term in zip(model.coefficients, model.terms):
-        col = np.full(m.n, coef)
-        for feat, exp in enumerate(term):
-            if exp:
-                col = col * m.rows[:, feat] ** exp
-        out += col
+        out += _times_monomial(m.rows, term, np.full(m.n, coef))
     return out
 
 
@@ -259,19 +261,24 @@ def to_json(model) -> str:
 
 def from_json(text: str):
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise MalformedModel(f"model document must be a JSON object, got {type(doc).__name__}")
     schema = doc.get("schema")
-    if schema == _LINEAR_SCHEMA:
-        return LinearModel(
-            intercept=doc["intercept"],
-            coefficients=tuple(doc["coefficients"]),
-            feature_names=tuple(doc["feature_names"]),
-        )
-    if schema == _POLY_SCHEMA:
-        return PolynomialModel(
-            degree=doc["degree"],
-            terms=tuple(tuple(t) for t in doc["terms"]),
-            coefficients=tuple(doc["coefficients"]),
-            feature_names=tuple(doc["feature_names"]),
-            condition_estimate=doc["condition_estimate"],
-        )
-    raise ValueError(f"unknown model schema {schema!r}")
+    try:
+        if schema == _LINEAR_SCHEMA:
+            return LinearModel(
+                intercept=doc["intercept"],
+                coefficients=tuple(doc["coefficients"]),
+                feature_names=tuple(doc["feature_names"]),
+            )
+        if schema == _POLY_SCHEMA:
+            return PolynomialModel(
+                degree=doc["degree"],
+                terms=tuple(tuple(t) for t in doc["terms"]),
+                coefficients=tuple(doc["coefficients"]),
+                feature_names=tuple(doc["feature_names"]),
+                condition_estimate=doc["condition_estimate"],
+            )
+    except KeyError as exc:
+        raise MalformedModel(f"{schema} document has no {exc} key") from None
+    raise MalformedModel(f"unknown model schema {schema!r}")

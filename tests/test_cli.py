@@ -1,9 +1,12 @@
 import json
+import re
 
 import pytest
 
+from windforecast import ann
 from windforecast.cli import main
-from windforecast.dataset import parse_csv
+from windforecast.dataset import FeatureSet, parse_csv
+from windforecast.harness import SweepConfig, run_sweep
 
 
 def run(args):
@@ -43,6 +46,14 @@ def test_gen_rejects_bad_config_key(tmp_path):
     assert run(["gen", "--out", tmp_path / "d.csv", "--config", cfg]) == 2
 
 
+def test_gen_config_value_of_wrong_type_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "plant.cfg"
+    cfg.write_text("seed=3\nn_samples=1e3\n")
+    assert run(["gen", "--out", tmp_path / "d.csv", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}:2:" in err and "n_samples" in err
+
+
 def test_usage_error_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["frobnicate"])
@@ -50,6 +61,27 @@ def test_usage_error_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["gen"])  # --out is required
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--train-fraction", "abc"), ("--degree", "x"), ("--horizons", "1,a")]
+)
+def test_sweep_bad_number_is_usage_error(data_csv, capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        run(["sweep", "--data", data_csv, flag, value])
+    assert exc.value.code == 1
+    assert f"argument {flag}" in capsys.readouterr().err
+
+
+def test_mixed_timestamp_offsets_exit_2(tmp_path, capsys):
+    path = tmp_path / "mixed.csv"
+    path.write_text(
+        "timestamp,wind_speed,wind_direction,temperature,power\n"
+        "2019-01-01T00:00:00,5.0,100.0,20.0,400.0\n"
+        "2019-01-01T00:15:00+00:00,6.0,110.0,21.0,600.0\n"
+    )
+    assert run(["correlate", "--data", path, "--out-dir", tmp_path]) == 2
+    assert "data error: row 2: " in capsys.readouterr().err
 
 
 def test_missing_data_file_exits_2(tmp_path):
@@ -110,6 +142,29 @@ def test_fit_ann_saves_history(data_csv, tmp_path):
     history = (out / "ann_loss_history.csv").read_text().strip().split("\n")
     assert history[0] == "epoch,loss"
     assert len(history) == 3
+
+
+@pytest.mark.parametrize("model, degree", [("linear", 2), ("polynomial", 3), ("ann", 2)])
+def test_fit_agrees_with_sweep_row(data_csv, capsys, model, degree):
+    argv = [
+        "fit", "--data", data_csv, "--model", model, "--degree", degree,
+        "--features", "speed_direction", "--train-fraction", 0.8, "--epochs", 2,
+    ]
+    assert run(argv) == 0
+    printed = dict(re.findall(r"^(\w+)=(\S+)", capsys.readouterr().out, re.MULTILINE))
+    cfg = SweepConfig(
+        train_fractions=(0.8,),
+        feature_sets=(FeatureSet.SPEED_DIRECTION,),
+        degrees=(degree,),
+        models=(model,),
+        ann_train=ann.TrainConfig(epochs=2, seed=42),
+    )
+    (row,) = run_sweep(parse_csv(data_csv.read_bytes()), cfg)
+    report = row.report
+    assert printed["r_squared"] == f"{report.r_squared:.5f}"
+    assert printed["mae"] == f"{report.mae:.5f}"
+    assert printed["rmse"] == f"{report.rmse:.5f}"
+    assert int(printed["n_test"]) == report.n_samples
 
 
 def test_numeric_failure_exits_3(tmp_path, capsys):

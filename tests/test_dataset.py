@@ -1,5 +1,5 @@
 import math
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -29,6 +29,7 @@ from windforecast.errors import (
     EmptyInput,
     InvalidConfig,
     MalformedHeader,
+    MixedTimezones,
     NonMonotonicTimestamps,
     RowParseError,
 )
@@ -110,6 +111,31 @@ def test_parse_duplicate_timestamp_rejected():
     row = "2019-01-01T00:00:00,5.0,100.0,20.0,400.0"
     with pytest.raises(NonMonotonicTimestamps):
         parse_csv(_csv([row, row]))
+
+
+def test_parse_mixed_naive_and_aware_timestamps_names_row():
+    text = _csv(
+        [
+            "2019-01-01T00:00:00,5.0,100.0,20.0,400.0",
+            "2019-01-01T00:15:00,6.0,110.0,21.0,600.0",
+            "2019-01-01T00:30:00+00:00,7.0,120.0,22.0,800.0",
+        ]
+    )
+    with pytest.raises(MixedTimezones) as exc:
+        parse_csv(text)
+    message = str(exc.value)
+    assert message.startswith("row 3: ")
+    assert "2019-01-01T00:30:00+00:00" in message and "2019-01-01T00:15:00" in message
+
+
+def test_dataset_mixed_naive_and_aware_timestamps_names_row():
+    aware = Record(datetime(2019, 1, 1, tzinfo=timezone.utc), 5.0, 180.0, 15.0, 100.0)
+    naive = _record(1)
+    with pytest.raises(MixedTimezones) as exc:
+        Dataset([aware, naive], 2000.0)
+    message = str(exc.value)
+    assert message.startswith("row 2: ")
+    assert aware.timestamp.isoformat() in message and naive.timestamp.isoformat() in message
 
 
 def test_parse_malformed_header():

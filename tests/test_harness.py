@@ -23,6 +23,7 @@ from windforecast.harness import (
     SweepConfig,
     emit_power_curve_points,
     emit_pred_vs_actual,
+    fit_model,
     persistence_forecast,
     predict_with,
     run_sweep,
@@ -274,3 +275,10 @@ def test_predict_with_rejects_unknown_model():
     m = DesignMatrix(rows=np.ones((2, 1)), target=np.ones(2), feature_names=("wind_speed",))
     with pytest.raises(FeatureMismatch):
         predict_with(object(), m)
+
+
+@pytest.mark.parametrize("name", ["persistence", "svm"])
+def test_fit_model_rejects_unknown_name(name):
+    m = DesignMatrix(rows=np.arange(8.0)[:, None], target=np.arange(8.0), feature_names=("wind_speed",))
+    with pytest.raises(InvalidConfig, match="unknown model"):
+        fit_model(name, m)

@@ -5,11 +5,13 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from windforecast import ann
 from windforecast.dataset import DesignMatrix
 from windforecast.errors import (
     ConditionWarning,
     DegreeOutOfRange,
     FeatureMismatch,
+    MalformedModel,
     RankDeficient,
     TooFewRows,
 )
@@ -297,3 +299,18 @@ def test_json_schema_versioned():
     assert doc["schema"] == "windforecast.model.linear.v1"
     with pytest.raises(ValueError):
         from_json(json.dumps({"schema": "bogus.v9"}))
+
+
+@pytest.mark.parametrize(
+    "loads, text",
+    [
+        (from_json, "[1]"),
+        (from_json, '{"schema": "windforecast.model.linear.v1", "intercept": 1.0, "feature_names": ["x"]}'),
+        (from_json, '{"schema": "windforecast.model.polynomial.v1", "degree": 2}'),
+        (ann.from_json, "[1]"),
+        (ann.from_json, '{"schema": "windforecast.model.mlp.v1", "weights": []}'),
+    ],
+)
+def test_malformed_model_document_raises_data_error(loads, text):
+    with pytest.raises(MalformedModel):
+        loads(text)
