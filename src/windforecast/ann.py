@@ -41,11 +41,16 @@ def _relu_grad(z, a):
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    # Overflow-free: with e = exp(-|z|), sigmoid is 1/(1+e) for z >= 0 and
+    # e/(1+e) for z < 0; max(e, sign(z)) picks that numerator (e <= 1, and
+    # e == 1 at z == 0) and carries NaN through, without splitting the batch.
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.sign(z)
+    np.maximum(out, e, out=out)
+    e += 1.0
+    out /= e
     return out
 
 
@@ -236,22 +241,47 @@ def predict(model: MlpModel, m: DesignMatrix) -> np.ndarray:
     return outputs[-1][:, 0] * model.target_scale
 
 
-def _loss_and_grads(weights, biases, activations, x, y):
-    """Mean squared error over the batch and its parameter gradients."""
+def _layer_views(flat: np.ndarray, sizes) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-layer weight and bias views into one flat parameter-shaped buffer.
+
+    Layer l holds its (out, in) weights row-major, then its out biases, so
+    an update written to ``flat`` reaches every layer at once.
+    """
+    weights, biases = [], []
+    start = 0
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        stop = start + fan_out * fan_in
+        weights.append(flat[start:stop].reshape(fan_out, fan_in))
+        biases.append(flat[stop : stop + fan_out])
+        start = stop + fan_out
+    return weights, biases
+
+
+def _flat_params(model: MlpModel) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    """A flat copy of the model's parameters, with its per-layer views."""
+    sizes = model.layer_sizes
+    flat = np.empty(sum(o * i + o for i, o in zip(sizes[:-1], sizes[1:])))
+    weights, biases = _layer_views(flat, sizes)
+    for view, value in zip(weights + biases, model.weights + model.biases):
+        view[...] = value
+    return flat, weights, biases
+
+
+def _loss_and_grads(weights, biases, activations, x, y, grads_w, grads_b) -> float:
+    """Mean squared error over the batch; writes its parameter gradients
+    into ``grads_w`` and ``grads_b`` in place."""
     zs, outputs = _forward_pass(weights, biases, activations, x)
     resid = outputs[-1][:, 0] - y
     n = x.shape[0]
     loss = float(resid @ resid) / n
     delta = (2.0 / n) * resid[:, np.newaxis]
-    grads_w = [None] * len(weights)
-    grads_b = [None] * len(weights)
     for l in range(len(weights) - 1, -1, -1):
         dz = delta * ACTIVATIONS[activations[l]][1](zs[l], outputs[l + 1])
-        grads_w[l] = dz.T @ outputs[l]
-        grads_b[l] = dz.sum(axis=0)
+        np.matmul(dz.T, outputs[l], out=grads_w[l])
+        dz.sum(axis=0, out=grads_b[l])
         if l > 0:
             delta = dz @ weights[l]
-    return loss, grads_w, grads_b
+    return loss
 
 
 def train(
@@ -279,46 +309,43 @@ def train(
         target_scale = peak if peak > 0 else 1.0
     y = train_matrix.target / target_scale
 
-    weights = [w.copy() for w in model.weights]
-    biases = [b.copy() for b in model.biases]
+    theta, weights, biases = _flat_params(model)
+    grad = np.empty_like(theta)
+    grads_w, grads_b = _layer_views(grad, model.layer_sizes)
     adam = cfg.optimizer == "adam"
     if adam:
-        m_w = [np.zeros_like(w) for w in weights]
-        v_w = [np.zeros_like(w) for w in weights]
-        m_b = [np.zeros_like(b) for b in biases]
-        v_b = [np.zeros_like(b) for b in biases]
+        m = np.zeros_like(theta)
+        v = np.zeros_like(theta)
         step = 0
 
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     n = train_matrix.n
+    lr = cfg.learning_rate
     losses, epoch_seconds = [], []
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
         order = rng.permutation(n)
+        x_epoch, y_epoch = x[order], y[order]
         sse = 0.0
         for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            batch_loss, gw, gb = _loss_and_grads(
-                weights, biases, model.activations, x[idx], y[idx]
+            stop = min(start + cfg.batch_size, n)
+            batch_loss = _loss_and_grads(
+                weights, biases, model.activations,
+                x_epoch[start:stop], y_epoch[start:stop], grads_w, grads_b,
             )
             if not np.isfinite(batch_loss):
-                raise NonFiniteLoss(epoch + 1, cfg.learning_rate)
-            sse += batch_loss * len(idx)
+                raise NonFiniteLoss(epoch + 1, lr)
+            sse += batch_loss * (stop - start)
             if adam:
                 step += 1
                 c1 = 1.0 - ADAM_BETA1**step
                 c2 = 1.0 - ADAM_BETA2**step
-                for l in range(len(weights)):
-                    m_w[l] = ADAM_BETA1 * m_w[l] + (1 - ADAM_BETA1) * gw[l]
-                    v_w[l] = ADAM_BETA2 * v_w[l] + (1 - ADAM_BETA2) * gw[l] ** 2
-                    weights[l] -= cfg.learning_rate * (m_w[l] / c1) / (np.sqrt(v_w[l] / c2) + ADAM_EPS)
-                    m_b[l] = ADAM_BETA1 * m_b[l] + (1 - ADAM_BETA1) * gb[l]
-                    v_b[l] = ADAM_BETA2 * v_b[l] + (1 - ADAM_BETA2) * gb[l] ** 2
-                    biases[l] -= cfg.learning_rate * (m_b[l] / c1) / (np.sqrt(v_b[l] / c2) + ADAM_EPS)
+                m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * grad
+                v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * grad**2
+                # lr*(m/c1), not (lr/c1)*m: folding the scalars changes the rounding
+                theta -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
             else:
-                for l in range(len(weights)):
-                    weights[l] -= cfg.learning_rate * gw[l]
-                    biases[l] -= cfg.learning_rate * gb[l]
+                theta -= lr * grad
         losses.append(sse / n)
         epoch_seconds.append(time.perf_counter() - t0)
 
@@ -360,9 +387,9 @@ def gradient_check(model: MlpModel, sample: DesignMatrix, step: float = 1e-5) ->
         target_scale = peak if peak > 0 else 1.0
     y = sample.target / target_scale
 
-    weights = [w.copy() for w in model.weights]
-    biases = [b.copy() for b in model.biases]
-    _, grads_w, grads_b = _loss_and_grads(weights, biases, model.activations, x, y)
+    theta, weights, biases = _flat_params(model)
+    grad = np.empty_like(theta)
+    _loss_and_grads(weights, biases, model.activations, x, y, *_layer_views(grad, model.layer_sizes))
 
     def loss_and_signs():
         zs, outputs = _forward_pass(weights, biases, model.activations, x)
@@ -370,23 +397,19 @@ def gradient_check(model: MlpModel, sample: DesignMatrix, step: float = 1e-5) ->
         return float(resid @ resid) / x.shape[0], _relu_signs(zs, model.activations)
 
     worst = 0.0
-    for params, grads in ((weights, grads_w), (biases, grads_b)):
-        for arr, grad in zip(params, grads):
-            flat = arr.reshape(-1)
-            gflat = grad.reshape(-1)
-            for i in range(flat.size):
-                original = flat[i]
-                flat[i] = original + step
-                up, signs_up = loss_and_signs()
-                flat[i] = original - step
-                down, signs_down = loss_and_signs()
-                flat[i] = original
-                if not np.array_equal(signs_up, signs_down):
-                    continue  # kink crossed: finite difference undefined here
-                numeric = (up - down) / (2.0 * step)
-                analytic = gflat[i]
-                denom = max(abs(analytic), abs(numeric), 1e-5)
-                worst = max(worst, abs(analytic - numeric) / denom)
+    for i in range(theta.size):
+        original = theta[i]
+        theta[i] = original + step
+        up, signs_up = loss_and_signs()
+        theta[i] = original - step
+        down, signs_down = loss_and_signs()
+        theta[i] = original
+        if not np.array_equal(signs_up, signs_down):
+            continue  # kink crossed: finite difference undefined here
+        numeric = (up - down) / (2.0 * step)
+        analytic = grad[i]
+        denom = max(abs(analytic), abs(numeric), 1e-5)
+        worst = max(worst, abs(analytic - numeric) / denom)
     return worst
 
 
@@ -412,7 +435,10 @@ def to_json(model: MlpModel) -> str:
 
 
 def from_json(text: str) -> MlpModel:
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MalformedModel(f"model document is not JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise MalformedModel(f"model document must be a JSON object, got {type(doc).__name__}")
     if doc.get("schema") != _MLP_SCHEMA:
@@ -430,10 +456,12 @@ def from_json(text: str) -> MlpModel:
             weights=weights,
             biases=tuple(np.asarray(b, dtype=np.float64) for b in doc["biases"]),
             input_scaler=None if scaler is None else MinMaxScaler(mins=scaler["mins"], maxs=scaler["maxs"]),
-            target_scale=doc["target_scale"],
+            target_scale=float(doc["target_scale"]),
         )
     except KeyError as exc:
         raise MalformedModel(f"{_MLP_SCHEMA} document has no {exc} key") from None
+    except (IndexError, TypeError, ValueError) as exc:
+        raise MalformedModel(f"{_MLP_SCHEMA} document has a malformed value: {exc}") from None
 
 
 def history_to_csv(history: TrainHistory) -> str:

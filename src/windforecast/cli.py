@@ -46,10 +46,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _load_dataset(args) -> Dataset:
-    path = Path(args.data)
+def _input_file(path: Path, what: str) -> Path:
+    """``path``, after checking that it names a regular file."""
     if not path.exists():
-        raise DataError(f"data file not found: {path}")
+        raise DataError(f"{what} file not found: {path}")
+    if not path.is_file():
+        raise DataError(f"{what} path is not a regular file: {path}")
+    return path
+
+
+def _load_dataset(args) -> Dataset:
+    path = _input_file(Path(args.data), "data")
     rated = getattr(args, "rated_power", None)
     return parse_csv(path.read_bytes(), rated_power=rated)
 
@@ -74,10 +81,9 @@ def _feature_sets(text: str) -> list[FeatureSet]:
 
 def _read_config_file(path: Path) -> dict:
     """Flat key=value synthetic config; '#' starts a comment."""
-    if not path.exists():
-        raise DataError(f"config file not found: {path}")
+    text = _input_file(path, "config").read_text()
     values = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue

@@ -260,7 +260,10 @@ def to_json(model) -> str:
 
 
 def from_json(text: str):
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MalformedModel(f"model document is not JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise MalformedModel(f"model document must be a JSON object, got {type(doc).__name__}")
     schema = doc.get("schema")
@@ -281,4 +284,6 @@ def from_json(text: str):
             )
     except KeyError as exc:
         raise MalformedModel(f"{schema} document has no {exc} key") from None
+    except (TypeError, ValueError) as exc:
+        raise MalformedModel(f"{schema} document has a malformed value: {exc}") from None
     raise MalformedModel(f"unknown model schema {schema!r}")

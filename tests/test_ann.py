@@ -21,6 +21,7 @@ from windforecast.dataset import (
     DesignMatrix,
     FeatureSet,
     SyntheticConfig,
+    fit_scaler,
     generate_synthetic,
     select_features,
 )
@@ -241,6 +242,108 @@ def test_training_loss_mostly_nonincreasing(synthetic_5k):
     _, history = train(net, m, TrainConfig(epochs=10, seed=0), target_scale=synthetic_5k.rated_power)
     drops = sum(1 for a, b in zip(history.losses, history.losses[1:]) if b <= a)
     assert drops / (len(history.losses) - 1) >= 0.8
+
+
+# The per-array training loop and masked sigmoid that the flat-buffer engine
+# replaced, kept as the reference it must match bit for bit.
+
+def masked_sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+REFERENCE_ACTIVATIONS = {
+    "relu": (ann._relu, ann._relu_grad),
+    "sigmoid": (masked_sigmoid, ann._sigmoid_grad),
+    "identity": (ann._identity, ann._identity_grad),
+}
+
+
+def reference_loss_and_grads(weights, biases, activations, x, y):
+    zs, outputs, a = [], [x], x
+    for w, b, name in zip(weights, biases, activations):
+        z = a @ w.T + b
+        a = REFERENCE_ACTIVATIONS[name][0](z)
+        zs.append(z)
+        outputs.append(a)
+    resid = outputs[-1][:, 0] - y
+    n = x.shape[0]
+    delta = (2.0 / n) * resid[:, np.newaxis]
+    grads_w, grads_b = [None] * len(weights), [None] * len(weights)
+    for l in range(len(weights) - 1, -1, -1):
+        dz = delta * REFERENCE_ACTIVATIONS[activations[l]][1](zs[l], outputs[l + 1])
+        grads_w[l] = dz.T @ outputs[l]
+        grads_b[l] = dz.sum(axis=0)
+        if l > 0:
+            delta = dz @ weights[l]
+    return float(resid @ resid) / n, grads_w, grads_b
+
+
+def reference_train(model, m, cfg, target_scale):
+    x = fit_scaler(m).transform_array(m.rows)
+    y = m.target / target_scale
+    weights = [w.copy() for w in model.weights]
+    biases = [b.copy() for b in model.biases]
+    m_w = [np.zeros_like(w) for w in weights]
+    v_w = [np.zeros_like(w) for w in weights]
+    m_b = [np.zeros_like(b) for b in biases]
+    v_b = [np.zeros_like(b) for b in biases]
+    b1, b2, eps, lr = ann.ADAM_BETA1, ann.ADAM_BETA2, ann.ADAM_EPS, cfg.learning_rate
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    losses, step = [], 0
+    for _ in range(cfg.epochs):
+        order = rng.permutation(m.n)
+        sse = 0.0
+        for start in range(0, m.n, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            loss, gw, gb = reference_loss_and_grads(weights, biases, model.activations, x[idx], y[idx])
+            sse += loss * len(idx)
+            if cfg.optimizer == "adam":
+                step += 1
+                c1, c2 = 1.0 - b1**step, 1.0 - b2**step
+                for l in range(len(weights)):
+                    m_w[l] = b1 * m_w[l] + (1 - b1) * gw[l]
+                    v_w[l] = b2 * v_w[l] + (1 - b2) * gw[l] ** 2
+                    weights[l] -= lr * (m_w[l] / c1) / (np.sqrt(v_w[l] / c2) + eps)
+                    m_b[l] = b1 * m_b[l] + (1 - b1) * gb[l]
+                    v_b[l] = b2 * v_b[l] + (1 - b2) * gb[l] ** 2
+                    biases[l] -= lr * (m_b[l] / c1) / (np.sqrt(v_b[l] / c2) + eps)
+            else:
+                for l in range(len(weights)):
+                    weights[l] -= lr * gw[l]
+                    biases[l] -= lr * gb[l]
+        losses.append(sse / m.n)
+    return weights, biases, losses
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+@pytest.mark.parametrize(
+    "fs", [FeatureSet.SPEED_ONLY, FeatureSet.SPEED_DIRECTION, FeatureSet.SPEED_DIRECTION_TEMPERATURE]
+)
+def test_train_matches_per_array_reference_bit_for_bit(fs, optimizer):
+    d = generate_synthetic(SyntheticConfig(n_samples=203, seed=14))  # 6 batches of 32 + 11
+    m = select_features(d, fs)
+    net = init_network(m.k, seed=15)
+    cfg = TrainConfig(epochs=3, batch_size=32, learning_rate=0.01, seed=16, optimizer=optimizer)
+    trained, history = train(net, m, cfg, target_scale=d.rated_power)
+    weights, biases, losses = reference_train(net, m, cfg, d.rated_power)
+    assert list(history.losses) == losses
+    for got, want in zip(trained.weights + trained.biases, weights + biases):
+        assert np.array_equal(got, want)
+
+
+def test_sigmoid_matches_masked_reference_bit_for_bit():
+    edges = [0.0, -0.0, 1e-320, -1e-320, 710.0, -710.0, 745.0, -745.0, np.inf, -np.inf]
+    rng = np.random.default_rng(17)
+    samples = [rng.normal(0.0, scale, 1000) for scale in (0.1, 1.0, 10.0, 100.0, 800.0)]
+    z = np.concatenate([edges, *samples])
+    got, want = ann._sigmoid(z), masked_sigmoid(z)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.isnan(ann._sigmoid(np.array([np.nan, 1.0]))[0])
 
 
 def test_history_invariant():

@@ -88,6 +88,17 @@ def test_missing_data_file_exits_2(tmp_path):
     assert run(["correlate", "--data", tmp_path / "nope.csv"]) == 2
 
 
+def test_data_path_that_is_a_directory_exits_2(tmp_path, capsys):
+    assert run(["correlate", "--data", tmp_path]) == 2
+    assert f"data error: data path is not a regular file: {tmp_path}" in capsys.readouterr().err
+
+
+def test_config_path_that_is_a_directory_exits_2(tmp_path, capsys):
+    assert run(["gen", "--out", tmp_path / "d.csv", "--config", tmp_path]) == 2
+    assert f"config path is not a regular file: {tmp_path}" in capsys.readouterr().err
+    assert not (tmp_path / "d.csv").exists()
+
+
 def test_correlate_outputs(data_csv, tmp_path, capsys):
     out = tmp_path / "corr"
     assert run(["correlate", "--data", data_csv, "--out-dir", out]) == 0

@@ -309,6 +309,11 @@ def test_json_schema_versioned():
         (from_json, '{"schema": "windforecast.model.polynomial.v1", "degree": 2}'),
         (ann.from_json, "[1]"),
         (ann.from_json, '{"schema": "windforecast.model.mlp.v1", "weights": []}'),
+        (from_json, "not json"),
+        (from_json, '{"schema": "windforecast.model.linear.v1", "intercept": 1.0, "coefficients": 5, "feature_names": ["x"]}'),
+        (ann.from_json, "{"),
+        (ann.from_json, '{"schema": "windforecast.model.mlp.v1", "layer_sizes": 5}'),
+        (ann.from_json, '{"schema": "windforecast.model.mlp.v1", "layer_sizes": [1], "weights": [[1.0]]}'),
     ],
 )
 def test_malformed_model_document_raises_data_error(loads, text):
