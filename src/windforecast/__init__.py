@@ -5,7 +5,6 @@ from .dataset import (
     DesignMatrix,
     FeatureSet,
     MinMaxScaler,
-    Record,
     SplitSpec,
     SyntheticConfig,
     apply_scaler,
@@ -27,7 +26,6 @@ __all__ = [
     "DesignMatrix",
     "FeatureSet",
     "MinMaxScaler",
-    "Record",
     "SplitSpec",
     "SyntheticConfig",
     "EvalReport",

@@ -164,6 +164,8 @@ class MlpModel:
                 raise InvalidArchitecture(f"layer {l} bias has shape {b.shape}")
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise InvalidArchitecture(f"layer {l} has non-finite parameters")
+        if not (np.isfinite(self.target_scale) and self.target_scale > 0):
+            raise InvalidArchitecture(f"target_scale must be finite and > 0, got {self.target_scale}")
 
     @property
     def input_dim(self) -> int:
@@ -374,7 +376,8 @@ def gradient_check(model: MlpModel, sample: DesignMatrix, step: float = 1e-5) ->
     backpropagated gradient, over every weight and bias. A parameter whose
     +/-step evaluations land on different sides of a ReLU kink has no valid
     finite difference and is skipped. Gradients below 1e-5 in magnitude are
-    compared at that absolute scale.
+    compared at that absolute scale. Any non-finite analytic or numeric
+    gradient makes the result ``inf``.
     """
     if sample.n > 32:
         raise InvalidConfig(f"gradient check sample must have <= 32 rows, got {sample.n}")
@@ -390,6 +393,8 @@ def gradient_check(model: MlpModel, sample: DesignMatrix, step: float = 1e-5) ->
     theta, weights, biases = _flat_params(model)
     grad = np.empty_like(theta)
     _loss_and_grads(weights, biases, model.activations, x, y, *_layer_views(grad, model.layer_sizes))
+    if not np.all(np.isfinite(grad)):
+        return float("inf")
 
     def loss_and_signs():
         zs, outputs = _forward_pass(weights, biases, model.activations, x)
@@ -407,6 +412,8 @@ def gradient_check(model: MlpModel, sample: DesignMatrix, step: float = 1e-5) ->
         if not np.array_equal(signs_up, signs_down):
             continue  # kink crossed: finite difference undefined here
         numeric = (up - down) / (2.0 * step)
+        if not np.isfinite(numeric):
+            return float("inf")
         analytic = grad[i]
         denom = max(abs(analytic), abs(numeric), 1e-5)
         worst = max(worst, abs(analytic - numeric) / denom)
@@ -460,7 +467,7 @@ def from_json(text: str) -> MlpModel:
         )
     except KeyError as exc:
         raise MalformedModel(f"{_MLP_SCHEMA} document has no {exc} key") from None
-    except (IndexError, TypeError, ValueError) as exc:
+    except (IndexError, TypeError, ValueError, InvalidArchitecture) as exc:
         raise MalformedModel(f"{_MLP_SCHEMA} document has a malformed value: {exc}") from None
 
 

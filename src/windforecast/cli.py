@@ -231,9 +231,7 @@ def _cmd_gradcheck(args) -> int:
     worst = 0.0
     for dim, fs in sample_sets.items():
         full = select_features(dataset, fs)
-        sample = select_features(
-            Dataset(dataset.records[:32], dataset.rated_power), fs
-        )
+        sample = select_features(dataset.take(slice(32)), fs)
         net = ann.init_network(dim, seed=args.seed)
         err_init = ann.gradient_check(net, sample)
         trained, _ = ann.train(

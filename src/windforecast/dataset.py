@@ -11,15 +11,16 @@ from __future__ import annotations
 import csv
 import io
 import math
+from array import array
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from enum import Enum
-from typing import Iterable
 
 import numpy as np
 from scipy.special import ndtr
 
 from .errors import (
+    DataError,
     DegenerateSplit,
     EmptyInput,
     InvalidConfig,
@@ -40,78 +41,90 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-@dataclass(frozen=True, slots=True)
-class Record:
-    """One SCADA sample: 15-minute timestamp, speed (m/s), direction (deg),
-    temperature (degC), generated power (kW).
+def _row_problems(columns: dict[str, np.ndarray], rated_power: float | None) -> list[tuple[int, str]]:
+    """Invariant violations as (0-based row index, reason) pairs, in row order.
 
-    Records are plain value objects; invariants are enforced when a
-    ``Dataset`` is built.
+    Each invariant is one vectorized mask over the four numeric columns;
+    reasons are formatted only for the rows some mask flags.
     """
+    speed, direction, power = columns["wind_speed"], columns["wind_direction"], columns["power"]
+    limit = np.inf if rated_power is None else OVERPOWER_TOLERANCE * rated_power
+    overpower = f"power {{}} exceeds rated power {rated_power} by more than 5%"
+    # (mask, reason template, column whose value fills the template)
+    checks = [(~np.isfinite(col), f"{name} is not finite", col) for name, col in columns.items()]
+    checks += [
+        (speed < 0, "wind_speed {} < 0", speed),
+        (~((0 <= direction) & (direction < 360)), "wind_direction {} outside [0, 360)", direction),
+        (power < 0, "power {} < 0", power),
+        (~(power < 0) & (power > limit), overpower, power),
+    ]
+    flagged = np.flatnonzero(np.logical_or.reduce([mask for mask, _, _ in checks]))
+    return [
+        (int(i), reason.format(float(col[i]))) for i in flagged for mask, reason, col in checks if mask[i]
+    ]
 
-    timestamp: datetime
-    wind_speed: float
-    wind_direction: float
-    temperature: float
-    power: float
 
-
-def record_problems(r: Record, rated_power: float | None = None) -> list[str]:
-    """Invariant violations for one record, as human-readable reasons."""
-    problems = []
-    for name in ("wind_speed", "wind_direction", "temperature", "power"):
-        if not math.isfinite(getattr(r, name)):
-            problems.append(f"{name} is not finite")
-    if r.wind_speed < 0:
-        problems.append(f"wind_speed {r.wind_speed} < 0")
-    if not 0 <= r.wind_direction < 360:
-        problems.append(f"wind_direction {r.wind_direction} outside [0, 360)")
-    if r.power < 0:
-        problems.append(f"power {r.power} < 0")
-    elif rated_power is not None and r.power > OVERPOWER_TOLERANCE * rated_power:
-        problems.append(f"power {r.power} exceeds rated power {rated_power} by more than 5%")
-    return problems
+def _check_order(stamps: np.ndarray) -> None:
+    """Raise unless timestamps strictly increase, naming the first offending row."""
+    # first pair (i, i + 1) that mixes naive and aware stamps; len - 1 when none does
+    mixed = len(stamps) - 1
+    try:
+        increasing = stamps[1:] > stamps[:-1]
+    except TypeError:
+        # order can only be judged up to the first pair that cannot be compared
+        aware = np.array([t.utcoffset() is not None for t in stamps])
+        mixed = int(np.flatnonzero(aware[1:] != aware[:-1])[0])
+        increasing = stamps[1 : mixed + 1] > stamps[:mixed]
+    out_of_order = np.flatnonzero(~increasing)
+    i = int(out_of_order[0]) if len(out_of_order) else mixed
+    if i == len(stamps) - 1:
+        return
+    later, earlier = stamps[i + 1].isoformat(), stamps[i].isoformat()
+    if len(out_of_order):
+        raise NonMonotonicTimestamps(
+            f"row {i + 2}: timestamp {later} does not increase past row {i + 1}'s {earlier}"
+        )
+    raise MixedTimezones(
+        f"row {i + 2}: timestamp {later} and row {i + 1}'s {earlier} mix offset-naive "
+        "and offset-aware forms"
+    )
 
 
 class Dataset:
     """Ordered, validated wind-farm samples plus the plant's rated power.
 
-    Immutable after construction; column arrays are cached on first access
-    and marked read-only, so instances are safe to share across threads.
+    One array of ``datetime`` timestamps and the four float64 columns of
+    ``CSV_HEADER``, row-aligned, read-only and set once here, so instances are
+    immutable and safe to share across threads. Rows are numbered from 1 in
+    error messages.
     """
 
-    def __init__(self, records: Iterable[Record], rated_power: float):
-        records = tuple(records)
-        if not records:
+    def __init__(self, timestamps, wind_speed, wind_direction, temperature, power, rated_power: float):
+        stamps = np.array(timestamps, dtype=object)
+        columns = {
+            name: _readonly(values)
+            for name, values in zip(CSV_HEADER[1:], (wind_speed, wind_direction, temperature, power))
+        }
+        if any(a.ndim != 1 or len(a) != len(stamps) for a in (stamps, *columns.values())):
+            raise InvalidConfig("timestamps and the four columns must be 1-D and of equal length")
+        if not len(stamps):
             raise EmptyInput("dataset has no records")
         rated_power = float(rated_power)
         if not rated_power > 0:
             raise InvalidConfig(f"rated_power must be > 0, got {rated_power}")
-        failures = []
-        for i, r in enumerate(records, start=1):
-            for reason in record_problems(r, rated_power):
-                failures.append((i, reason))
+        failures = _row_problems(columns, rated_power)
         if failures:
-            raise RowParseError(failures)
-        for row, (prev, cur) in enumerate(zip(records, records[1:]), start=2):
-            try:
-                out_of_order = cur.timestamp <= prev.timestamp
-            except TypeError:
-                raise MixedTimezones(
-                    f"row {row}: timestamp {cur.timestamp.isoformat()} and row {row - 1}'s "
-                    f"{prev.timestamp.isoformat()} mix offset-naive and offset-aware forms"
-                ) from None
-            if out_of_order:
-                raise NonMonotonicTimestamps(
-                    f"timestamp {cur.timestamp.isoformat()} does not increase past "
-                    f"{prev.timestamp.isoformat()}"
-                )
-        self._records = records
+            raise RowParseError((i + 1, reason) for i, reason in failures)
+        _check_order(stamps)
+        stamps.setflags(write=False)
+        self._columns = columns
         self._rated_power = rated_power
-        self._columns: dict[str, np.ndarray] | None = None
+        # named _records, and set last, because benchmark/tracing.py counts validated rows by it
+        self._records = stamps
 
     @property
-    def records(self) -> tuple[Record, ...]:
+    def timestamps(self) -> np.ndarray:
+        """Read-only object array of ``datetime``s, strictly increasing."""
         return self._records
 
     @property
@@ -124,22 +137,24 @@ class Dataset:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
-        return self._rated_power == other._rated_power and self._records == other._records
+        return (
+            self._rated_power == other._rated_power
+            and np.array_equal(self._records, other._records)
+            and all(np.array_equal(self._columns[k], other._columns[k]) for k in self._columns)
+        )
 
     def __repr__(self) -> str:
         return f"Dataset(n={len(self)}, rated_power={self._rated_power})"
 
     def column(self, name: str) -> np.ndarray:
         """Read-only float64 array for one of the four numeric columns."""
-        if self._columns is None:
-            cols = {
-                field: np.array([getattr(r, field) for r in self._records], dtype=np.float64)
-                for field in CSV_HEADER[1:]
-            }
-            for arr in cols.values():
-                arr.setflags(write=False)
-            self._columns = cols
         return self._columns[name]
+
+    def take(self, index) -> "Dataset":
+        """The rows at ``index`` (a slice or an increasing integer array), validated anew."""
+        return Dataset(
+            self._records[index], *(col[index] for col in self._columns.values()), self._rated_power
+        )
 
 
 class FeatureSet(Enum):
@@ -381,17 +396,8 @@ def generate_synthetic(config: SyntheticConfig = SyntheticConfig()) -> Dataset:
     if config.noise_sd > 0:
         power = power + rng.normal(0.0, config.noise_sd, n)
     power = np.clip(power, 0.0, OVERPOWER_TOLERANCE * config.rated_power)
-    records = [
-        Record(
-            timestamp=_SYNTHETIC_EPOCH + i * _GRID,
-            wind_speed=float(v[i]),
-            wind_direction=float(direction[i]),
-            temperature=float(temperature[i]),
-            power=float(power[i]),
-        )
-        for i in range(n)
-    ]
-    return Dataset(records, rated_power=config.rated_power)
+    timestamps = _SYNTHETIC_EPOCH + np.arange(n) * _GRID
+    return Dataset(timestamps, v, direction, temperature, power, config.rated_power)
 
 
 def split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
@@ -399,7 +405,7 @@ def split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
 
     Indices are shuffled with a PCG64 permutation; the first
     floor(n * train_fraction) shuffled indices form the train set. Each side
-    keeps its records in chronological order so both remain valid Datasets.
+    keeps its rows in chronological order so both remain valid Datasets.
     """
     n = len(dataset)
     n_train = int(math.floor(n * spec.train_fraction))
@@ -408,12 +414,7 @@ def split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
             f"fraction {spec.train_fraction} of {n} rows leaves an empty train or test side"
         )
     perm = _rng(spec.seed).permutation(n)
-    train_idx = np.sort(perm[:n_train])
-    test_idx = np.sort(perm[n_train:])
-    records = dataset.records
-    train = Dataset((records[i] for i in train_idx), dataset.rated_power)
-    test = Dataset((records[i] for i in test_idx), dataset.rated_power)
-    return train, test
+    return dataset.take(np.sort(perm[:n_train])), dataset.take(np.sort(perm[n_train:]))
 
 
 def select_features(dataset: Dataset, fs: FeatureSet) -> DesignMatrix:
@@ -422,26 +423,16 @@ def select_features(dataset: Dataset, fs: FeatureSet) -> DesignMatrix:
     return DesignMatrix(rows=rows, target=dataset.column("power"), feature_names=fs.columns)
 
 
-def _format_number(x: float) -> str:
-    # repr gives the shortest string that round-trips the float64 exactly
-    return repr(float(x))
-
-
 def write_csv(dataset: Dataset, stream=None) -> str:
     """Serialize to the canonical CSV format; parse_csv inverts it exactly."""
     buf = stream if stream is not None else io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for r in dataset.records:
-        writer.writerow(
-            (
-                r.timestamp.isoformat(),
-                _format_number(r.wind_speed),
-                _format_number(r.wind_direction),
-                _format_number(r.temperature),
-                _format_number(r.power),
-            )
-        )
+    columns = (dataset.column(name).tolist() for name in CSV_HEADER[1:])
+    # repr gives the shortest string that round-trips the float64 exactly
+    writer.writerows(
+        (ts.isoformat(), *map(repr, values)) for ts, *values in zip(dataset.timestamps, *columns)
+    )
     return buf.getvalue() if stream is None else ""
 
 
@@ -450,17 +441,20 @@ def parse_csv(source, rated_power: float | None = None) -> Dataset:
 
     ``source`` may be a str, bytes, or a readable text/binary stream; content
     must be UTF-8 with header ``timestamp,wind_speed,wind_direction,
-    temperature,power`` and ISO-8601 timestamps. Any row that fails to parse
-    or violates record invariants rejects the whole file via RowParseError,
-    with 1-based data-row numbers. When ``rated_power`` is omitted it is
-    taken as the maximum observed power.
+    temperature,power`` and ISO-8601 timestamps. Blank lines are skipped and
+    not counted: data rows are numbered from 1 after the header. Any row that
+    fails to parse or violates the dataset invariants rejects the whole file
+    via RowParseError, which names every such row. When ``rated_power`` is
+    omitted it is taken as the maximum observed power.
     """
     if hasattr(source, "read"):
         source = source.read()
     if isinstance(source, bytes):
-        source = source.decode("utf-8")
-    lines = source.splitlines()
-    reader = csv.reader(lines)
+        try:
+            source = source.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"input is not UTF-8: invalid byte at offset {exc.start}") from None
+    reader = csv.reader(source.splitlines())
     try:
         header = next(reader)
     except StopIteration:
@@ -468,42 +462,43 @@ def parse_csv(source, rated_power: float | None = None) -> Dataset:
     if tuple(h.strip() for h in header) != CSV_HEADER:
         raise MalformedHeader(f"expected header {','.join(CSV_HEADER)!r}, got {','.join(header)!r}")
 
-    records: list[Record] = []
+    timestamps: list[datetime] = []
+    storage = [array("d") for _ in CSV_HEADER[1:]]
     failures: list[tuple[int, str]] = []
-    for i, fields in enumerate(reader, start=1):
+    row = 0
+    for fields in reader:
         if not fields:
             continue
+        row += 1
         if len(fields) != len(CSV_HEADER):
-            failures.append((i, f"expected {len(CSV_HEADER)} fields, got {len(fields)}"))
+            failures.append((row, f"expected {len(CSV_HEADER)} fields, got {len(fields)}"))
             continue
         try:
             ts = datetime.fromisoformat(fields[0].strip())
         except ValueError:
-            failures.append((i, f"bad timestamp {fields[0]!r}"))
+            failures.append((row, f"bad timestamp {fields[0]!r}"))
             continue
-        values = {}
-        bad = False
+        values = []
         for name, raw in zip(CSV_HEADER[1:], fields[1:]):
             try:
-                values[name] = float(raw)
+                values.append(float(raw))
             except ValueError:
-                failures.append((i, f"bad {name} value {raw!r}"))
-                bad = True
-        if bad:
-            continue
-        record = Record(timestamp=ts, **values)
-        problems = record_problems(record, rated_power)
-        if problems:
-            failures.extend((i, p) for p in problems)
-            continue
-        records.append(record)
+                failures.append((row, f"bad {name} value {raw!r}"))
+        if len(values) == len(storage):
+            timestamps.append(ts)
+            for col, x in zip(storage, values):
+                col.append(x)
 
+    columns = dict(zip(CSV_HEADER[1:], map(np.frombuffer, storage)))
+    # data row number of each parsed row: every row that failed to parse is skipped
+    parsed_rows = np.delete(np.arange(1, row + 1), sorted({r - 1 for r, _ in failures}))
+    failures += [(int(parsed_rows[i]), reason) for i, reason in _row_problems(columns, rated_power)]
     if failures:
-        raise RowParseError(failures)
-    if not records:
+        raise RowParseError(sorted(failures, key=lambda failure: failure[0]))
+    if not timestamps:
         raise EmptyInput("no data rows")
     if rated_power is None:
-        rated_power = max(r.power for r in records)
+        rated_power = float(columns["power"].max())
         if rated_power <= 0:
             rated_power = 1.0
-    return Dataset(records, rated_power=rated_power)
+    return Dataset(timestamps, *columns.values(), rated_power=rated_power)

@@ -106,6 +106,12 @@ def test_model_invariants():
         )
 
 
+@pytest.mark.parametrize("target_scale", [math.nan, math.inf, 0.0, -1.0])
+def test_model_rejects_bad_target_scale(target_scale):
+    with pytest.raises(InvalidArchitecture, match="target_scale"):
+        narrow_net(w=[0.0] * 5, b=[0.0] * 5, target_scale=target_scale)
+
+
 # -- forward ------------------------------------------------------------------
 
 def test_sigmoid_of_zero_is_half():
@@ -376,6 +382,15 @@ def test_gradient_check_detects_corrupted_backward_pass(monkeypatch):
     sample = select_features(d, FeatureSet.SPEED_ONLY)
     err = gradient_check(init_network(1, seed=4), sample)
     assert err > 1e-2
+
+
+def test_gradient_check_detects_nan_backward_pass(monkeypatch):
+    sig_fn, sig_grad = ann.ACTIVATIONS["sigmoid"]
+    monkeypatch.setitem(ann.ACTIVATIONS, "sigmoid", (sig_fn, lambda z, a: np.full_like(z, np.nan)))
+    d = generate_synthetic(SyntheticConfig(n_samples=16, seed=9))
+    sample = select_features(d, FeatureSet.SPEED_ONLY)
+    err = gradient_check(init_network(1, seed=4), sample)
+    assert err == math.inf
 
 
 def test_gradient_check_sample_size_limit():

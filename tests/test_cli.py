@@ -37,7 +37,7 @@ def test_gen_config_file_with_flag_override(tmp_path):
     assert run(["gen", "--out", out, "--config", cfg, "--n-samples", 75]) == 0
     d = parse_csv(out.read_text())
     assert len(d) == 75  # flag beats file
-    assert max(r.power for r in d.records) <= 1.05 * 1000.0
+    assert max(d.column("power")) <= 1.05 * 1000.0
 
 
 def test_gen_rejects_bad_config_key(tmp_path):
@@ -82,6 +82,16 @@ def test_mixed_timestamp_offsets_exit_2(tmp_path, capsys):
     )
     assert run(["correlate", "--data", path, "--out-dir", tmp_path]) == 2
     assert "data error: row 2: " in capsys.readouterr().err
+
+
+def test_non_utf8_data_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(
+        b"timestamp,wind_speed,wind_direction,temperature,power\n"
+        b"2019-01-01T00:00:00,5.0,100.0,20.0,400.0\xff\n"
+    )
+    assert run(["correlate", "--data", path, "--out-dir", tmp_path]) == 2
+    assert "data error: input is not UTF-8: invalid byte at offset 94" in capsys.readouterr().err
 
 
 def test_missing_data_file_exits_2(tmp_path):

@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from windforecast.dataset import (
+    CSV_HEADER,
     Dataset,
     DesignMatrix,
     FeatureSet,
     MinMaxScaler,
-    Record,
     SplitSpec,
     SyntheticConfig,
     apply_scaler,
@@ -23,8 +23,11 @@ from windforecast.dataset import (
     select_features,
     split,
     write_csv,
+    _check_order,
+    _row_problems,
 )
 from windforecast.errors import (
+    DataError,
     DegenerateSplit,
     EmptyInput,
     InvalidConfig,
@@ -42,18 +45,13 @@ def _csv(rows):
     return HEADER + "\n" + "\n".join(rows) + "\n"
 
 
-def _record(i, power=100.0, speed=5.0, direction=180.0, temp=15.0):
-    return Record(
-        timestamp=datetime(2019, 1, 1) + i * timedelta(minutes=15),
-        wind_speed=speed,
-        wind_direction=direction,
-        temperature=temp,
-        power=power,
-    )
+def _stamps(n):
+    return [datetime(2019, 1, 1) + i * timedelta(minutes=15) for i in range(n)]
 
 
-def toy_dataset(powers, rated_power=2000.0):
-    return Dataset([_record(i, power=p) for i, p in enumerate(powers)], rated_power)
+def toy_dataset(powers, rated_power=2000.0, speed=5.0):
+    n = len(powers)
+    return Dataset(_stamps(n), [speed] * n, [180.0] * n, [15.0] * n, powers, rated_power)
 
 
 # -- parse_csv ----------------------------------------------------------------
@@ -68,9 +66,9 @@ def test_parse_well_formed_keeps_order():
     )
     d = parse_csv(text, rated_power=2000.0)
     assert len(d) == 3
-    assert [r.wind_speed for r in d.records] == [5.0, 6.0, 7.0]
-    assert [r.power for r in d.records] == [400.0, 600.0, 800.0]
-    assert d.records[0].timestamp == datetime(2019, 1, 1)
+    assert d.column("wind_speed").tolist() == [5.0, 6.0, 7.0]
+    assert d.column("power").tolist() == [400.0, 600.0, 800.0]
+    assert d.timestamps[0] == datetime(2019, 1, 1)
 
 
 def test_parse_accepts_bytes_and_streams(tmp_path):
@@ -129,13 +127,112 @@ def test_parse_mixed_naive_and_aware_timestamps_names_row():
 
 
 def test_dataset_mixed_naive_and_aware_timestamps_names_row():
-    aware = Record(datetime(2019, 1, 1, tzinfo=timezone.utc), 5.0, 180.0, 15.0, 100.0)
-    naive = _record(1)
+    aware = datetime(2019, 1, 1, tzinfo=timezone.utc)
+    naive = _stamps(2)[1]
     with pytest.raises(MixedTimezones) as exc:
-        Dataset([aware, naive], 2000.0)
+        Dataset([aware, naive], [5.0] * 2, [180.0] * 2, [15.0] * 2, [100.0] * 2, 2000.0)
     message = str(exc.value)
     assert message.startswith("row 2: ")
-    assert aware.timestamp.isoformat() in message and naive.timestamp.isoformat() in message
+    assert aware.isoformat() in message and naive.isoformat() in message
+
+
+def test_parse_non_monotonic_timestamps_names_row():
+    text = _csv(
+        [
+            "2019-01-01T00:00:00,5.0,100.0,20.0,400.0",
+            "2019-01-01T00:15:00,6.0,110.0,21.0,600.0",
+            "2019-01-01T00:15:00,7.0,120.0,22.0,800.0",
+        ]
+    )
+    with pytest.raises(NonMonotonicTimestamps) as exc:
+        parse_csv(text)
+    assert str(exc.value) == (
+        "row 3: timestamp 2019-01-01T00:15:00 does not increase past row 2's 2019-01-01T00:15:00"
+    )
+
+
+def test_parse_disorder_before_mixed_offsets_is_reported_first():
+    text = _csv(
+        [
+            "2019-01-01T00:15:00,5.0,100.0,20.0,400.0",
+            "2019-01-01T00:00:00,6.0,110.0,21.0,600.0",
+            "2019-01-01T00:30:00+00:00,7.0,120.0,22.0,800.0",
+        ]
+    )
+    with pytest.raises(NonMonotonicTimestamps, match="^row 2: "):
+        parse_csv(text)
+
+
+@pytest.mark.parametrize(
+    "third_row, error, prefix",
+    [
+        ("2019-01-01T00:30:00,7.0,361.0,22.0,800.0", RowParseError, "1 invalid row(s): row 3: "),
+        ("2019-01-01T00:30:00,7.0,oops,22.0,800.0", RowParseError, "1 invalid row(s): row 3: "),
+        ("2019-01-01T00:30:00+00:00,7.0,120.0,22.0,800.0", MixedTimezones, "row 3: "),
+        ("2019-01-01T00:10:00,7.0,120.0,22.0,800.0", NonMonotonicTimestamps, "row 3: "),
+    ],
+)
+def test_parse_blank_lines_are_not_numbered(third_row, error, prefix):
+    text = _csv(
+        [
+            "2019-01-01T00:00:00,5.0,100.0,20.0,400.0",
+            "",
+            "2019-01-01T00:15:00,6.0,110.0,21.0,600.0",
+            "",
+            third_row,
+        ]
+    )
+    with pytest.raises(error) as exc:
+        parse_csv(text)
+    assert str(exc.value).startswith(prefix)
+
+
+def test_parse_rejects_non_utf8_naming_byte_offset():
+    data = _csv(["2019-01-01T00:00:00,5.0,100.0,20.0,400.0"]).encode()
+    with pytest.raises(DataError, match="offset 70"):
+        parse_csv(data[:70] + b"\xff" + data[70:])
+
+
+_CSV_FRAGMENTS = st.sampled_from(
+    [
+        b"2019-01-01T00:00:00",
+        b"2019-01-01T00:15:00+01:00",
+        b"2018-12-31T23:45:00",
+        b"0001-01-01T00:00:00+23:59",
+        b"5.0",
+        b"-1",
+        b"0",
+        b"361",
+        b"2e3",
+        b"1e400",
+        b"nan",
+        b"-inf",
+        b"x",
+        b" ",
+        b",",
+        b"\n",
+        b"\r\n",
+        b'"',
+        b"\x00",
+        b"\xc3",
+        b"\xff",
+    ]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.binary(max_size=300),
+        st.lists(_CSV_FRAGMENTS, max_size=80).map(lambda parts: HEADER.encode() + b"\n" + b"".join(parts)),
+    )
+)
+def test_parse_any_bytes_gives_dataset_or_data_error(data):
+    try:
+        result = parse_csv(data)
+    except DataError:
+        return
+    assert isinstance(result, Dataset)
 
 
 def test_parse_malformed_header():
@@ -170,7 +267,7 @@ def test_parse_rejects_power_above_rated_allowance():
         parse_csv(text, rated_power=2000.0)
     # 5% over rated is still acceptable
     ok = parse_csv(_csv(["2019-01-01T00:00:00,5.0,100.0,20.0,2100.0"]), rated_power=2000.0)
-    assert ok.records[0].power == 2100.0
+    assert ok.column("power")[0] == 2100.0
 
 
 def test_parse_infers_rated_power_from_peak():
@@ -193,12 +290,12 @@ def test_roundtrip_write_then_parse(synthetic_5k):
 
 def test_dataset_rejects_empty():
     with pytest.raises(EmptyInput):
-        Dataset([], rated_power=2000.0)
+        Dataset([], [], [], [], [], rated_power=2000.0)
 
 
 def test_dataset_rejects_bad_record():
     with pytest.raises(RowParseError):
-        Dataset([_record(0, speed=-2.0)], rated_power=2000.0)
+        toy_dataset([100.0], speed=-2.0)
 
 
 def test_dataset_columns_are_readonly():
@@ -206,6 +303,104 @@ def test_dataset_columns_are_readonly():
     col = d.column("power")
     assert not col.flags.writeable
     assert col.tolist() == [10.0, 20.0]
+
+
+def test_dataset_copies_its_inputs_read_only():
+    stamps = _stamps(2)
+    power = np.array([10.0, 20.0])
+    d = Dataset(stamps, [5.0] * 2, [180.0] * 2, [15.0] * 2, power, 2000.0)
+    stamps[0] = datetime(2030, 1, 1)
+    power[0] = 99.0
+    assert d.timestamps[0] == datetime(2019, 1, 1)
+    assert d.column("power").tolist() == [10.0, 20.0]
+    assert not d.timestamps.flags.writeable
+
+
+def test_dataset_rejects_columns_of_unequal_length():
+    with pytest.raises(InvalidConfig):
+        Dataset(_stamps(2), [5.0] * 2, [180.0] * 2, [15.0], [10.0] * 2, 2000.0)
+
+
+def test_take_selects_rows_and_validates_them():
+    d = toy_dataset([10.0, 20.0, 30.0, 40.0])
+    assert d.take(slice(2)) == toy_dataset([10.0, 20.0])
+    picked = d.take(np.array([1, 3]))
+    assert picked.column("power").tolist() == [20.0, 40.0]
+    assert list(picked.timestamps) == [d.timestamps[1], d.timestamps[3]]
+    with pytest.raises(NonMonotonicTimestamps):
+        d.take(np.array([3, 1]))
+
+
+# The per-row checks that the vectorized validator replaced, kept as its reference.
+def _reference_problems(row, rated_power):
+    speed, direction, _, power = row
+    problems = [f"{name} is not finite" for name, x in zip(CSV_HEADER[1:], row) if not math.isfinite(x)]
+    if speed < 0:
+        problems.append(f"wind_speed {speed} < 0")
+    if not 0 <= direction < 360:
+        problems.append(f"wind_direction {direction} outside [0, 360)")
+    if power < 0:
+        problems.append(f"power {power} < 0")
+    elif rated_power is not None and power > 1.05 * rated_power:
+        problems.append(f"power {power} exceeds rated power {rated_power} by more than 5%")
+    return problems
+
+
+def _reference_order(stamps):
+    for row, (prev, cur) in enumerate(zip(stamps, stamps[1:]), start=2):
+        try:
+            out_of_order = cur <= prev
+        except TypeError:
+            raise MixedTimezones(
+                f"row {row}: timestamp {cur.isoformat()} and row {row - 1}'s "
+                f"{prev.isoformat()} mix offset-naive and offset-aware forms"
+            ) from None
+        if out_of_order:
+            raise NonMonotonicTimestamps(
+                f"row {row}: timestamp {cur.isoformat()} does not increase past "
+                f"row {row - 1}'s {prev.isoformat()}"
+            )
+
+
+_EDGE_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 359.99999999999994, 360.0, 2100.0, 2100.0000000000005]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.lists(st.tuples(_EDGE_FLOATS, _EDGE_FLOATS, _EDGE_FLOATS, _EDGE_FLOATS), max_size=20),
+    rated_power=st.one_of(st.none(), st.just(2000.0), st.floats(min_value=-10.0, max_value=1e4)),
+)
+def test_row_problems_match_per_row_reference(rows, rated_power):
+    columns = {
+        name: np.array([row[k] for row in rows], dtype=np.float64)
+        for k, name in enumerate(CSV_HEADER[1:])
+    }
+    expected = [
+        (i, reason) for i, row in enumerate(rows) for reason in _reference_problems(row, rated_power)
+    ]
+    assert _row_problems(columns, rated_power) == expected
+
+
+_STAMPS = st.sampled_from(
+    [datetime(2019, 1, 1, 0, m) for m in (0, 15, 30)]
+    + [datetime(2019, 1, 1, 0, m, tzinfo=timezone(timedelta(hours=h))) for m in (0, 15) for h in (0, 1)]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_STAMPS, min_size=1, max_size=8))
+def test_order_check_matches_pairwise_reference(stamps):
+    def outcome(check, stamps):
+        try:
+            check(stamps)
+        except (MixedTimezones, NonMonotonicTimestamps) as exc:
+            return type(exc), str(exc)
+        return None
+
+    assert outcome(_check_order, np.array(stamps, dtype=object)) == outcome(_reference_order, stamps)
 
 
 # -- synthetic generator ------------------------------------------------------
@@ -238,7 +433,7 @@ def test_synthetic_determinism_byte_identical():
 def test_synthetic_below_cut_in_rows_clamp_to_zero():
     d = generate_synthetic(SyntheticConfig(n_samples=3000, seed=5))
     cfg = SyntheticConfig()
-    calm = [r.power for r in d.records if r.wind_speed < cfg.cut_in_speed]
+    calm = d.column("power")[d.column("wind_speed") < cfg.cut_in_speed].tolist()
     assert calm, "expected some below-cut-in rows"
     assert all(p >= 0.0 for p in calm)
     # negative noise draws get clamped to exactly zero
@@ -247,9 +442,7 @@ def test_synthetic_below_cut_in_rows_clamp_to_zero():
 
 def test_synthetic_timestamps_on_15_minute_grid():
     d = generate_synthetic(SyntheticConfig(n_samples=50, seed=1))
-    deltas = {
-        (b.timestamp - a.timestamp) for a, b in zip(d.records, d.records[1:])
-    }
+    deltas = {(b - a) for a, b in zip(d.timestamps, d.timestamps[1:])}
     assert deltas == {timedelta(minutes=15)}
 
 
@@ -327,17 +520,17 @@ def test_split_is_a_partition(n, fraction, seed):
         assert n_train in (0, n)
         return
     assert len(train) + len(test) == n
-    train_ts = {r.timestamp for r in train.records}
-    test_ts = {r.timestamp for r in test.records}
+    train_ts = set(train.timestamps)
+    test_ts = set(test.timestamps)
     assert not train_ts & test_ts
-    assert train_ts | test_ts == {r.timestamp for r in d.records}
+    assert train_ts | test_ts == set(d.timestamps)
 
 
 def test_split_sides_stay_chronological():
     d = toy_dataset(np.arange(64, dtype=float))
     train, test = split(d, SplitSpec(0.75, seed=3))
     for side in (train, test):
-        stamps = [r.timestamp for r in side.records]
+        stamps = list(side.timestamps)
         assert stamps == sorted(stamps)
 
 

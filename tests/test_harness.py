@@ -11,7 +11,6 @@ from windforecast.dataset import (
     Dataset,
     DesignMatrix,
     FeatureSet,
-    Record,
     SplitSpec,
     SyntheticConfig,
     generate_synthetic,
@@ -34,17 +33,15 @@ from windforecast.metrics import mae, rmse
 
 
 def power_series(powers, rated_power=2000.0):
-    records = [
-        Record(
-            timestamp=datetime(2019, 1, 1) + i * timedelta(minutes=15),
-            wind_speed=5.0,
-            wind_direction=90.0,
-            temperature=10.0,
-            power=float(p),
-        )
-        for i, p in enumerate(powers)
-    ]
-    return Dataset(records, rated_power)
+    n = len(powers)
+    return Dataset(
+        [datetime(2019, 1, 1) + i * timedelta(minutes=15) for i in range(n)],
+        wind_speed=[5.0] * n,
+        wind_direction=[90.0] * n,
+        temperature=[10.0] * n,
+        power=[float(p) for p in powers],
+        rated_power=rated_power,
+    )
 
 
 FAST_ANN = ann.TrainConfig(epochs=2, seed=42)

@@ -301,6 +301,12 @@ def test_json_schema_versioned():
         from_json(json.dumps({"schema": "bogus.v9"}))
 
 
+def _mlp_document(target_scale):
+    """A valid MLP document except for its target_scale (json writes NaN/Infinity)."""
+    doc = json.loads(ann.to_json(ann.init_network(1, seed=0)))
+    return json.dumps({**doc, "target_scale": target_scale})
+
+
 @pytest.mark.parametrize(
     "loads, text",
     [
@@ -314,6 +320,10 @@ def test_json_schema_versioned():
         (ann.from_json, "{"),
         (ann.from_json, '{"schema": "windforecast.model.mlp.v1", "layer_sizes": 5}'),
         (ann.from_json, '{"schema": "windforecast.model.mlp.v1", "layer_sizes": [1], "weights": [[1.0]]}'),
+        (ann.from_json, _mlp_document(float("nan"))),
+        (ann.from_json, _mlp_document(float("inf"))),
+        (ann.from_json, _mlp_document(0.0)),
+        (ann.from_json, _mlp_document(-1.0)),
     ],
 )
 def test_malformed_model_document_raises_data_error(loads, text):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from windforecast.dataset import Dataset, Record
+from windforecast.dataset import Dataset
 from windforecast.errors import BetzViolation, ConstantInput, LengthMismatch
 from windforecast.stats import (
     CORRELATION_COLUMNS,
@@ -83,17 +83,14 @@ def test_correlation_matrix_against_oracle(synthetic_5k):
 
 
 def test_correlation_matrix_names_constant_column():
-    records = [
-        Record(
-            timestamp=datetime(2019, 1, 1) + i * timedelta(minutes=15),
-            wind_speed=5.0 + i,
-            wind_direction=100.0,
-            temperature=10.0 + i,
-            power=100.0 * (i + 1),
-        )
-        for i in range(3)
-    ]
-    d = Dataset(records, rated_power=2000.0)
+    d = Dataset(
+        [datetime(2019, 1, 1) + i * timedelta(minutes=15) for i in range(3)],
+        wind_speed=[5.0 + i for i in range(3)],
+        wind_direction=[100.0] * 3,
+        temperature=[10.0 + i for i in range(3)],
+        power=[100.0 * (i + 1) for i in range(3)],
+        rated_power=2000.0,
+    )
     with pytest.raises(ConstantInput, match="wind_direction"):
         correlation_matrix(d)
 
