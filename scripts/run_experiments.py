@@ -101,7 +101,7 @@ def main(argv=None) -> int:
                     f"mae={best.report.mae:8.3f} rmse={best.report.rmse:8.3f} ({label}{extra})"
                 )
 
-        featured_plot_data(dataset, out_dir, args.seed, args.epochs)
+        featured_plot_data(dataset, out_dir, args.seed, epochs)
     print(f"done in {time.time() - t0:.0f}s")
     return 0
 

@@ -8,8 +8,6 @@ while predictions come back in kW.
 
 from __future__ import annotations
 
-import json
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +17,6 @@ from .errors import (
     DimensionMismatch,
     InvalidArchitecture,
     InvalidConfig,
-    MalformedModel,
     NonFiniteLoss,
 )
 
@@ -97,16 +94,12 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class TrainHistory:
-    """Per-epoch mean training loss (scaled MSE) and wall time in seconds."""
+    """Per-epoch mean training loss (scaled MSE)."""
 
     losses: tuple[float, ...]
-    epoch_seconds: tuple[float, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "losses", tuple(float(x) for x in self.losses))
-        object.__setattr__(self, "epoch_seconds", tuple(float(x) for x in self.epoch_seconds))
-        if len(self.losses) != len(self.epoch_seconds):
-            raise InvalidConfig("losses and epoch_seconds must have equal length")
 
 
 def _frozen_params(arrays) -> tuple[np.ndarray, ...]:
@@ -309,6 +302,8 @@ def train(
     if target_scale is None:
         peak = float(np.max(np.abs(train_matrix.target)))
         target_scale = peak if peak > 0 else 1.0
+    if not (np.isfinite(target_scale) and target_scale > 0):
+        raise InvalidConfig(f"target_scale must be finite and > 0, got {target_scale}")
     y = train_matrix.target / target_scale
 
     theta, weights, biases = _flat_params(model)
@@ -323,9 +318,8 @@ def train(
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     n = train_matrix.n
     lr = cfg.learning_rate
-    losses, epoch_seconds = [], []
+    losses = []
     for epoch in range(cfg.epochs):
-        t0 = time.perf_counter()
         order = rng.permutation(n)
         x_epoch, y_epoch = x[order], y[order]
         sse = 0.0
@@ -349,7 +343,6 @@ def train(
             else:
                 theta -= lr * grad
         losses.append(sse / n)
-        epoch_seconds.append(time.perf_counter() - t0)
 
     trained = MlpModel(
         layer_sizes=model.layer_sizes,
@@ -359,7 +352,7 @@ def train(
         input_scaler=scaler,
         target_scale=float(target_scale),
     )
-    return trained, TrainHistory(losses=tuple(losses), epoch_seconds=tuple(epoch_seconds))
+    return trained, TrainHistory(losses=tuple(losses))
 
 
 def _relu_signs(zs, activations) -> np.ndarray:
@@ -418,57 +411,6 @@ def gradient_check(model: MlpModel, sample: DesignMatrix, step: float = 1e-5) ->
         denom = max(abs(analytic), abs(numeric), 1e-5)
         worst = max(worst, abs(analytic - numeric) / denom)
     return worst
-
-
-# -- serialization ------------------------------------------------------------
-
-_MLP_SCHEMA = "windforecast.model.mlp.v1"
-
-
-def to_json(model: MlpModel) -> str:
-    """Versioned JSON with per-layer flattened parameters."""
-    doc = {
-        "schema": _MLP_SCHEMA,
-        "layer_sizes": list(model.layer_sizes),
-        "activations": list(model.activations),
-        "weights": [w.ravel().tolist() for w in model.weights],
-        "biases": [b.tolist() for b in model.biases],
-        "input_scaler": None
-        if model.input_scaler is None
-        else {"mins": model.input_scaler.mins.tolist(), "maxs": model.input_scaler.maxs.tolist()},
-        "target_scale": model.target_scale,
-    }
-    return json.dumps(doc, indent=2)
-
-
-def from_json(text: str) -> MlpModel:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedModel(f"model document is not JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise MalformedModel(f"model document must be a JSON object, got {type(doc).__name__}")
-    if doc.get("schema") != _MLP_SCHEMA:
-        raise MalformedModel(f"unknown model schema {doc.get('schema')!r}")
-    try:
-        sizes = tuple(doc["layer_sizes"])
-        weights = tuple(
-            np.asarray(flat, dtype=np.float64).reshape(sizes[l + 1], sizes[l])
-            for l, flat in enumerate(doc["weights"])
-        )
-        scaler = doc["input_scaler"]
-        return MlpModel(
-            layer_sizes=sizes,
-            activations=tuple(doc["activations"]),
-            weights=weights,
-            biases=tuple(np.asarray(b, dtype=np.float64) for b in doc["biases"]),
-            input_scaler=None if scaler is None else MinMaxScaler(mins=scaler["mins"], maxs=scaler["maxs"]),
-            target_scale=float(doc["target_scale"]),
-        )
-    except KeyError as exc:
-        raise MalformedModel(f"{_MLP_SCHEMA} document has no {exc} key") from None
-    except (IndexError, TypeError, ValueError, InvalidArchitecture) as exc:
-        raise MalformedModel(f"{_MLP_SCHEMA} document has a malformed value: {exc}") from None
 
 
 def history_to_csv(history: TrainHistory) -> str:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import ann, harness, regression, stats
+from . import ann, harness, stats
 from .dataset import (
     Dataset,
     FeatureSet,
@@ -174,11 +174,9 @@ def _cmd_fit(args) -> int:
     if args.out_dir is not None and model is not None:
         out = _out_dir(args)
         model_path = out / f"{args.model}_model.json"
-        if isinstance(model, ann.MlpModel):
-            model_path.write_text(ann.to_json(model))
+        model_path.write_text(harness.to_json(model))
+        if history is not None:
             (out / "ann_loss_history.csv").write_text(ann.history_to_csv(history))
-        else:
-            model_path.write_text(regression.to_json(model))
         print(f"wrote {model_path}")
     return 0
 

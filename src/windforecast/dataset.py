@@ -64,6 +64,14 @@ def _row_problems(columns: dict[str, np.ndarray], rated_power: float | None) -> 
     ]
 
 
+def _checked_rated_power(rated_power) -> float:
+    """``rated_power`` as a float, rejected unless finite and > 0, before any row is judged by it."""
+    rated_power = float(rated_power)
+    if not (math.isfinite(rated_power) and rated_power > 0):
+        raise InvalidConfig(f"rated_power must be finite and > 0, got {rated_power}")
+    return rated_power
+
+
 def _check_order(stamps: np.ndarray) -> None:
     """Raise unless timestamps strictly increase, naming the first offending row."""
     # first pair (i, i + 1) that mixes naive and aware stamps; len - 1 when none does
@@ -109,9 +117,7 @@ class Dataset:
             raise InvalidConfig("timestamps and the four columns must be 1-D and of equal length")
         if not len(stamps):
             raise EmptyInput("dataset has no records")
-        rated_power = float(rated_power)
-        if not rated_power > 0:
-            raise InvalidConfig(f"rated_power must be > 0, got {rated_power}")
+        rated_power = _checked_rated_power(rated_power)
         failures = _row_problems(columns, rated_power)
         if failures:
             raise RowParseError((i + 1, reason) for i, reason in failures)
@@ -423,9 +429,9 @@ def select_features(dataset: Dataset, fs: FeatureSet) -> DesignMatrix:
     return DesignMatrix(rows=rows, target=dataset.column("power"), feature_names=fs.columns)
 
 
-def write_csv(dataset: Dataset, stream=None) -> str:
+def write_csv(dataset: Dataset) -> str:
     """Serialize to the canonical CSV format; parse_csv inverts it exactly."""
-    buf = stream if stream is not None else io.StringIO()
+    buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     columns = (dataset.column(name).tolist() for name in CSV_HEADER[1:])
@@ -433,7 +439,7 @@ def write_csv(dataset: Dataset, stream=None) -> str:
     writer.writerows(
         (ts.isoformat(), *map(repr, values)) for ts, *values in zip(dataset.timestamps, *columns)
     )
-    return buf.getvalue() if stream is None else ""
+    return buf.getvalue()
 
 
 def parse_csv(source, rated_power: float | None = None) -> Dataset:
@@ -444,9 +450,12 @@ def parse_csv(source, rated_power: float | None = None) -> Dataset:
     temperature,power`` and ISO-8601 timestamps. Blank lines are skipped and
     not counted: data rows are numbered from 1 after the header. Any row that
     fails to parse or violates the dataset invariants rejects the whole file
-    via RowParseError, which names every such row. When ``rated_power`` is
-    omitted it is taken as the maximum observed power.
+    via RowParseError, which keeps every such row. A given ``rated_power``
+    must be finite and > 0; when omitted it is taken as the maximum observed
+    power.
     """
+    if rated_power is not None:
+        rated_power = _checked_rated_power(rated_power)
     if hasattr(source, "read"):
         source = source.read()
     if isinstance(source, bytes):

@@ -32,6 +32,10 @@ class MixedTimezones(DataError):
     """Offset-naive and offset-aware timestamps meet, so they cannot be ordered."""
 
 
+# Failing rows a RowParseError message names; ``failures`` keeps every row.
+MAX_NAMED_ROWS = 10
+
+
 class RowParseError(DataError):
     """One or more rows failed to parse or violated record invariants.
 
@@ -41,10 +45,12 @@ class RowParseError(DataError):
 
     def __init__(self, failures):
         self.failures = tuple(failures)
-        super().__init__(
-            "%d invalid row(s): %s"
-            % (len(self.failures), "; ".join(f"row {i}: {r}" for i, r in self.failures))
-        )
+        failing = list(dict.fromkeys(self.rows))
+        named = set(failing[:MAX_NAMED_ROWS])
+        text = "; ".join(f"row {i}: {r}" for i, r in self.failures if i in named)
+        if len(failing) > MAX_NAMED_ROWS:
+            text += f"; and {len(failing) - MAX_NAMED_ROWS} more row(s)"
+        super().__init__(f"{len(failing)} invalid row(s): {text}")
 
     @property
     def rows(self):

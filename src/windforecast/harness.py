@@ -1,5 +1,8 @@
 """Experiment grid: models x feature subsets x train fractions x degrees.
 
+The one module that knows all three model kinds: it fits, predicts, writes
+and loads linear, polynomial and MLP models.
+
 One split per train fraction is shared by every model so comparisons within
 a fraction see identical data. Rows are generated in a fixed (model,
 feature_set, fraction, degree) order and failed configurations become
@@ -11,13 +14,13 @@ from __future__ import annotations
 import functools
 import io
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass
 
 import numpy as np
 
 from . import ann, regression
-from .dataset import Dataset, DesignMatrix, FeatureSet, SplitSpec, select_features, split
-from .errors import FeatureMismatch, InvalidConfig, SeriesTooShort
+from .dataset import Dataset, DesignMatrix, FeatureSet, MinMaxScaler, SplitSpec, select_features, split
+from .errors import DataError, FeatureMismatch, InvalidConfig, MalformedModel, SeriesTooShort
 from .metrics import EvalReport
 from .regression import LinearModel, PolynomialModel
 
@@ -134,6 +137,65 @@ def fit_model(
         net = ann.init_network(train.k, seed=ann_train.seed)
         return ann.train(net, train, ann_train, target_scale=target_scale)
     raise InvalidConfig(f"unknown model {name!r}; choose from {TRAINABLE_MODELS}")
+
+
+# -- model documents ----------------------------------------------------------
+
+# A document is the schema tag, then every dataclass field in declaration
+# order, so adding or renaming a field needs a new tag.
+_MODEL_SCHEMAS = {
+    LinearModel: "windforecast.model.linear.v1",
+    PolynomialModel: "windforecast.model.polynomial.v1",
+    ann.MlpModel: "windforecast.model.mlp.v1",
+}
+
+
+def _plain(value):
+    """``value`` as JSON data: an array flattens to a list, a tuple becomes a list, a dataclass an object."""
+    if isinstance(value, np.ndarray):
+        return value.ravel().tolist()
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    return value
+
+
+def to_json(model) -> str:
+    """Versioned JSON document of any fitted model; floats round-trip bit for bit via repr."""
+    if type(model) not in _MODEL_SCHEMAS:
+        raise TypeError(f"cannot serialize {type(model).__name__}")
+    return json.dumps({"schema": _MODEL_SCHEMAS[type(model)], **_plain(model)}, indent=2)
+
+
+def from_json(text: str):
+    """The model a ``to_json`` document describes; its constructor validates every field."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MalformedModel(f"model document is not JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise MalformedModel(f"model document must be a JSON object, got {type(doc).__name__}")
+    schema = doc.get("schema")
+    cls = next((c for c, tag in _MODEL_SCHEMAS.items() if tag == schema), None)
+    if cls is None:
+        raise MalformedModel(f"unknown model schema {schema!r}")
+    try:
+        values = {f.name: doc[f.name] for f in fields(cls)}
+        if cls is ann.MlpModel:
+            sizes, scaler = values["layer_sizes"], values["input_scaler"]
+            values["weights"] = [
+                np.asarray(w, dtype=np.float64).reshape(sizes[l + 1], sizes[l])
+                for l, w in enumerate(values["weights"])
+            ]
+            if scaler is not None:
+                values["input_scaler"] = MinMaxScaler(mins=scaler["mins"], maxs=scaler["maxs"])
+            values["target_scale"] = float(values["target_scale"])
+        return cls(**values)
+    except KeyError as exc:
+        raise MalformedModel(f"{schema} document has no {exc} key") from None
+    except (IndexError, TypeError, ValueError, DataError) as exc:
+        raise MalformedModel(f"{schema} document has a malformed value: {exc}") from None
 
 
 def _grid(cfg: SweepConfig):

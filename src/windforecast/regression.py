@@ -11,7 +11,6 @@ across releases; serialized models store their exponent tuples explicitly.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
@@ -24,7 +23,6 @@ from .errors import (
     ConditionWarning,
     DegreeOutOfRange,
     FeatureMismatch,
-    MalformedModel,
     RankDeficient,
     TooFewRows,
 )
@@ -229,61 +227,3 @@ def predict_polynomial(model: PolynomialModel, m: DesignMatrix) -> np.ndarray:
         out += _times_monomial(m.rows, term, np.full(m.n, coef))
     return out
 
-
-# -- serialization ------------------------------------------------------------
-
-_LINEAR_SCHEMA = "windforecast.model.linear.v1"
-_POLY_SCHEMA = "windforecast.model.polynomial.v1"
-
-
-def to_json(model) -> str:
-    """Versioned JSON document; floats round-trip bit-for-bit via repr."""
-    if isinstance(model, LinearModel):
-        doc = {
-            "schema": _LINEAR_SCHEMA,
-            "intercept": model.intercept,
-            "coefficients": list(model.coefficients),
-            "feature_names": list(model.feature_names),
-        }
-    elif isinstance(model, PolynomialModel):
-        doc = {
-            "schema": _POLY_SCHEMA,
-            "degree": model.degree,
-            "terms": [list(t) for t in model.terms],
-            "coefficients": list(model.coefficients),
-            "feature_names": list(model.feature_names),
-            "condition_estimate": model.condition_estimate,
-        }
-    else:
-        raise TypeError(f"cannot serialize {type(model).__name__}")
-    return json.dumps(doc, indent=2)
-
-
-def from_json(text: str):
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedModel(f"model document is not JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise MalformedModel(f"model document must be a JSON object, got {type(doc).__name__}")
-    schema = doc.get("schema")
-    try:
-        if schema == _LINEAR_SCHEMA:
-            return LinearModel(
-                intercept=doc["intercept"],
-                coefficients=tuple(doc["coefficients"]),
-                feature_names=tuple(doc["feature_names"]),
-            )
-        if schema == _POLY_SCHEMA:
-            return PolynomialModel(
-                degree=doc["degree"],
-                terms=tuple(tuple(t) for t in doc["terms"]),
-                coefficients=tuple(doc["coefficients"]),
-                feature_names=tuple(doc["feature_names"]),
-                condition_estimate=doc["condition_estimate"],
-            )
-    except KeyError as exc:
-        raise MalformedModel(f"{schema} document has no {exc} key") from None
-    except (TypeError, ValueError) as exc:
-        raise MalformedModel(f"{schema} document has a malformed value: {exc}") from None
-    raise MalformedModel(f"unknown model schema {schema!r}")

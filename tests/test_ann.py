@@ -9,12 +9,10 @@ from windforecast.ann import (
     TrainConfig,
     TrainHistory,
     forward,
-    from_json,
     gradient_check,
     history_to_csv,
     init_network,
     predict,
-    to_json,
     train,
 )
 from windforecast.dataset import (
@@ -31,6 +29,7 @@ from windforecast.errors import (
     InvalidConfig,
     NonFiniteLoss,
 )
+from windforecast.harness import from_json, to_json
 
 
 def dm(rows, target, names=None):
@@ -231,6 +230,16 @@ def test_train_batch_size_exceeds_rows():
         train(init_network(1, seed=0), m, TrainConfig(batch_size=16))
 
 
+@pytest.mark.parametrize("target_scale", [0.0, math.nan, math.inf, -1.0])
+def test_train_rejects_bad_target_scale_before_first_epoch(monkeypatch, target_scale):
+    steps = []
+    monkeypatch.setattr(ann, "_loss_and_grads", lambda *args: steps.append(args))
+    m = dm(np.linspace(0, 1, 8), np.linspace(0, 1, 8))
+    with pytest.raises(InvalidConfig, match="target_scale must be finite and > 0"):
+        train(init_network(1, seed=0), m, TrainConfig(batch_size=4), target_scale=target_scale)
+    assert steps == []
+
+
 def test_train_divergence_raises_non_finite_loss():
     rng = np.random.default_rng(0)
     x = rng.uniform(0.0, 1.0, 200)
@@ -352,11 +361,6 @@ def test_sigmoid_matches_masked_reference_bit_for_bit():
     assert np.isnan(ann._sigmoid(np.array([np.nan, 1.0]))[0])
 
 
-def test_history_invariant():
-    with pytest.raises(InvalidConfig):
-        TrainHistory(losses=(1.0, 0.5), epoch_seconds=(0.1,))
-
-
 # -- gradient check -----------------------------------------------------------
 
 def test_gradient_check_fresh_networks():
@@ -413,6 +417,6 @@ def test_mlp_roundtrip_bit_for_bit():
 
 
 def test_history_csv_format():
-    history = TrainHistory(losses=(0.5, 0.25), epoch_seconds=(0.1, 0.1))
+    history = TrainHistory(losses=(0.5, 0.25))
     text = history_to_csv(history)
     assert text == "epoch,loss\n1,0.5\n2,0.25\n"

@@ -84,6 +84,11 @@ def test_mixed_timestamp_offsets_exit_2(tmp_path, capsys):
     assert "data error: row 2: " in capsys.readouterr().err
 
 
+def test_zero_rated_power_exits_2_with_short_message(data_csv, tmp_path, capsys):
+    assert run(["correlate", "--data", data_csv, "--rated-power", 0, "--out-dir", tmp_path]) == 2
+    assert capsys.readouterr().err == "data error: rated_power must be finite and > 0, got 0.0\n"
+
+
 def test_non_utf8_data_exits_2(tmp_path, capsys):
     path = tmp_path / "latin1.csv"
     path.write_bytes(

@@ -270,6 +270,35 @@ def test_parse_rejects_power_above_rated_allowance():
     assert ok.column("power")[0] == 2100.0
 
 
+@pytest.mark.parametrize("rated_power", [0.0, -1.0, math.inf, math.nan])
+def test_bad_rated_power_is_rejected_before_row_checks(rated_power):
+    text = _csv([f"2019-01-01T00:{m:02d}:00,5.0,100.0,20.0,400.0" for m in (0, 15, 30)])
+    with pytest.raises(InvalidConfig, match="rated_power must be finite and > 0"):
+        parse_csv(text, rated_power=rated_power)
+    with pytest.raises(InvalidConfig, match="rated_power must be finite and > 0"):
+        toy_dataset([400.0, 500.0], rated_power=rated_power)
+
+
+def test_row_parse_error_names_ten_rows_and_keeps_all():
+    rows = [f"2019-01-01T{h:02d}:00:00,-1.0,100.0,20.0,400.0" for h in range(12)]
+    with pytest.raises(RowParseError) as exc:
+        parse_csv(_csv(rows))
+    message = str(exc.value)
+    assert message.startswith("12 invalid row(s): row 1: wind_speed -1.0 < 0; row 2: ")
+    assert "row 10: " in message and "row 11: " not in message
+    assert message.endswith("; and 2 more row(s)")
+    assert exc.value.rows == list(range(1, 13)) and len(exc.value.failures) == 12
+
+
+def test_row_parse_error_counts_rows_not_failures():
+    with pytest.raises(RowParseError) as exc:
+        parse_csv(_csv(["2019-01-01T00:00:00,5.0,x,20.0,y"]))
+    assert str(exc.value) == (
+        "1 invalid row(s): row 1: bad wind_direction value 'x'; row 1: bad power value 'y'"
+    )
+    assert exc.value.rows == [1, 1]
+
+
 def test_parse_infers_rated_power_from_peak():
     text = _csv(
         [

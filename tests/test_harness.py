@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+from dataclasses import fields as dataclass_fields
+from dataclasses import is_dataclass, replace
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -11,6 +13,7 @@ from windforecast.dataset import (
     Dataset,
     DesignMatrix,
     FeatureSet,
+    MinMaxScaler,
     SplitSpec,
     SyntheticConfig,
     generate_synthetic,
@@ -23,13 +26,17 @@ from windforecast.harness import (
     emit_power_curve_points,
     emit_pred_vs_actual,
     fit_model,
+    from_json,
     persistence_forecast,
     predict_with,
     run_sweep,
     sweep_csv,
     sweep_json,
+    to_json,
 )
 from windforecast.metrics import mae, rmse
+
+from test_ann import narrow_net
 
 
 def power_series(powers, rated_power=2000.0):
@@ -279,3 +286,161 @@ def test_fit_model_rejects_unknown_name(name):
     m = DesignMatrix(rows=np.arange(8.0)[:, None], target=np.arange(8.0), feature_names=("wind_speed",))
     with pytest.raises(InvalidConfig, match="unknown model"):
         fit_model(name, m)
+
+
+# -- model documents ----------------------------------------------------------
+
+def _leaves(value) -> list:
+    """Every type, tuple length, array byte string and scalar repr of a model, in field order."""
+    if is_dataclass(value):
+        return [type(value)] + [leaf for f in dataclass_fields(value) for leaf in _leaves(getattr(value, f.name))]
+    if isinstance(value, tuple):
+        return [len(value)] + [leaf for v in value for leaf in _leaves(v)]
+    if isinstance(value, np.ndarray):
+        return [(value.shape, value.dtype.str, value.tobytes())]
+    return [(type(value), repr(value))]
+
+
+LINEAR_DOCUMENT = """\
+{
+  "schema": "windforecast.model.linear.v1",
+  "intercept": -12.5,
+  "coefficients": [
+    150.25,
+    0.1
+  ],
+  "feature_names": [
+    "wind_speed",
+    "wind_direction"
+  ]
+}"""
+
+POLYNOMIAL_DOCUMENT = """\
+{
+  "schema": "windforecast.model.polynomial.v1",
+  "degree": 2,
+  "terms": [
+    [
+      0,
+      0
+    ],
+    [
+      1,
+      0
+    ],
+    [
+      0,
+      1
+    ],
+    [
+      2,
+      0
+    ],
+    [
+      1,
+      1
+    ],
+    [
+      0,
+      2
+    ]
+  ],
+  "coefficients": [
+    1.5,
+    -2.0,
+    0.25,
+    3.0,
+    -0.5,
+    1e-07
+  ],
+  "feature_names": [
+    "wind_speed",
+    "temperature"
+  ],
+  "condition_estimate": 1234.5
+}"""
+
+MLP_DOCUMENT = """\
+{
+  "schema": "windforecast.model.mlp.v1",
+  "layer_sizes": [
+    1,
+    1,
+    1,
+    1,
+    1,
+    1
+  ],
+  "activations": [
+    "relu",
+    "relu",
+    "sigmoid",
+    "sigmoid",
+    "identity"
+  ],
+  "weights": [
+    [
+      0.5
+    ],
+    [
+      -1.25
+    ],
+    [
+      2.0
+    ],
+    [
+      0.75
+    ],
+    [
+      3.0
+    ]
+  ],
+  "biases": [
+    [
+      0.1
+    ],
+    [
+      0.0
+    ],
+    [
+      -0.5
+    ],
+    [
+      0.25
+    ],
+    [
+      -1.0
+    ]
+  ],
+  "input_scaler": {
+    "mins": [
+      0.0
+    ],
+    "maxs": [
+      25.0
+    ]
+  },
+  "target_scale": 500.0
+}"""
+
+
+def _pinned_models():
+    linear = regression.LinearModel(
+        intercept=-12.5, coefficients=(150.25, 0.1), feature_names=("wind_speed", "wind_direction")
+    )
+    polynomial = regression.PolynomialModel(
+        degree=2,
+        terms=((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)),
+        coefficients=(1.5, -2.0, 0.25, 3.0, -0.5, 1e-07),
+        feature_names=("wind_speed", "temperature"),
+        condition_estimate=1234.5,
+    )
+    net = narrow_net(w=[0.5, -1.25, 2.0, 0.75, 3.0], b=[0.1, 0.0, -0.5, 0.25, -1.0], target_scale=500.0)
+    mlp = replace(net, input_scaler=MinMaxScaler(mins=[0.0], maxs=[25.0]))
+    return [(linear, LINEAR_DOCUMENT), (polynomial, POLYNOMIAL_DOCUMENT), (mlp, MLP_DOCUMENT)]
+
+
+def test_model_documents_are_pinned():
+    for model, document in _pinned_models():
+        assert to_json(model) == document
+        assert _leaves(from_json(document)) == _leaves(model)

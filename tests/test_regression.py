@@ -15,17 +15,16 @@ from windforecast.errors import (
     RankDeficient,
     TooFewRows,
 )
+from windforecast.harness import from_json, to_json
 from windforecast.metrics import r_squared
 from windforecast.regression import (
     LinearModel,
     expand_polynomial,
     fit_ols,
     fit_polynomial,
-    from_json,
     monomial_exponents,
     predict_linear,
     predict_polynomial,
-    to_json,
 )
 
 
@@ -303,29 +302,32 @@ def test_json_schema_versioned():
 
 def _mlp_document(target_scale):
     """A valid MLP document except for its target_scale (json writes NaN/Infinity)."""
-    doc = json.loads(ann.to_json(ann.init_network(1, seed=0)))
+    doc = json.loads(to_json(ann.init_network(1, seed=0)))
     return json.dumps({**doc, "target_scale": target_scale})
 
 
 @pytest.mark.parametrize(
-    "loads, text",
+    "text",
     [
-        (from_json, "[1]"),
-        (from_json, '{"schema": "windforecast.model.linear.v1", "intercept": 1.0, "feature_names": ["x"]}'),
-        (from_json, '{"schema": "windforecast.model.polynomial.v1", "degree": 2}'),
-        (ann.from_json, "[1]"),
-        (ann.from_json, '{"schema": "windforecast.model.mlp.v1", "weights": []}'),
-        (from_json, "not json"),
-        (from_json, '{"schema": "windforecast.model.linear.v1", "intercept": 1.0, "coefficients": 5, "feature_names": ["x"]}'),
-        (ann.from_json, "{"),
-        (ann.from_json, '{"schema": "windforecast.model.mlp.v1", "layer_sizes": 5}'),
-        (ann.from_json, '{"schema": "windforecast.model.mlp.v1", "layer_sizes": [1], "weights": [[1.0]]}'),
-        (ann.from_json, _mlp_document(float("nan"))),
-        (ann.from_json, _mlp_document(float("inf"))),
-        (ann.from_json, _mlp_document(0.0)),
-        (ann.from_json, _mlp_document(-1.0)),
+        "[1]",
+        '{"schema": "windforecast.model.linear.v1", "intercept": 1.0, "feature_names": ["x"]}',
+        '{"schema": "windforecast.model.polynomial.v1", "degree": 2}',
+        "[1]",
+        '{"schema": "windforecast.model.mlp.v1", "weights": []}',
+        "not json",
+        '{"schema": "windforecast.model.linear.v1", "intercept": 1.0, "coefficients": 5, "feature_names": ["x"]}',
+        "{",
+        '{"schema": "windforecast.model.mlp.v1", "layer_sizes": 5}',
+        '{"schema": "windforecast.model.mlp.v1", "layer_sizes": [1], "weights": [[1.0]]}',
+        _mlp_document(float("nan")),
+        _mlp_document(float("inf")),
+        _mlp_document(0.0),
+        _mlp_document(-1.0),
+        '{"schema": ["windforecast.model.mlp.v1"]}',
+        '{"schema": "windforecast.model.linear.v1", "intercept": 1.0, "coefficients": [1.0, 2.0], "feature_names": ["x"]}',
+        json.dumps({**json.loads(_mlp_document(1.0)), "input_scaler": {"mins": [0.0]}}),
     ],
 )
-def test_malformed_model_document_raises_data_error(loads, text):
+def test_malformed_model_document_raises_data_error(text):
     with pytest.raises(MalformedModel):
-        loads(text)
+        from_json(text)
