@@ -7,7 +7,6 @@ from .dataset import (
     MinMaxScaler,
     SplitSpec,
     SyntheticConfig,
-    apply_scaler,
     fit_scaler,
     generate_synthetic,
     parse_csv,
@@ -30,7 +29,6 @@ __all__ = [
     "SyntheticConfig",
     "EvalReport",
     "CorrelationMatrix",
-    "apply_scaler",
     "fit_scaler",
     "generate_synthetic",
     "parse_csv",

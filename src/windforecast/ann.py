@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import DesignMatrix, MinMaxScaler, fit_scaler
+from .dataset import DesignMatrix, MinMaxScaler, _check_seed, _readonly, _rng, fit_scaler
 from .errors import (
     DimensionMismatch,
     InvalidArchitecture,
@@ -90,6 +90,7 @@ class TrainConfig:
             raise InvalidConfig("learning_rate must be > 0")
         if self.optimizer not in ("sgd", "adam"):
             raise InvalidConfig(f"optimizer must be 'sgd' or 'adam', got {self.optimizer!r}")
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -100,15 +101,6 @@ class TrainHistory:
 
     def __post_init__(self):
         object.__setattr__(self, "losses", tuple(float(x) for x in self.losses))
-
-
-def _frozen_params(arrays) -> tuple[np.ndarray, ...]:
-    out = []
-    for a in arrays:
-        a = np.array(a, dtype=np.float64)
-        a.setflags(write=False)
-        out.append(a)
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -130,8 +122,8 @@ class MlpModel:
     def __post_init__(self):
         object.__setattr__(self, "layer_sizes", tuple(int(s) for s in self.layer_sizes))
         object.__setattr__(self, "activations", tuple(self.activations))
-        object.__setattr__(self, "weights", _frozen_params(self.weights))
-        object.__setattr__(self, "biases", _frozen_params(self.biases))
+        object.__setattr__(self, "weights", tuple(map(_readonly, self.weights)))
+        object.__setattr__(self, "biases", tuple(map(_readonly, self.biases)))
         sizes = self.layer_sizes
         if len(sizes) != HIDDEN_LAYERS + 2:
             raise InvalidArchitecture(f"expected {HIDDEN_LAYERS} hidden layers, sizes={sizes}")
@@ -159,6 +151,9 @@ class MlpModel:
                 raise InvalidArchitecture(f"layer {l} has non-finite parameters")
         if not (np.isfinite(self.target_scale) and self.target_scale > 0):
             raise InvalidArchitecture(f"target_scale must be finite and > 0, got {self.target_scale}")
+        width = sizes[0] if self.input_scaler is None else len(self.input_scaler.mins)
+        if width != sizes[0]:
+            raise InvalidArchitecture(f"input scaler has {width} features, the network {sizes[0]}")
 
     @property
     def input_dim(self) -> int:
@@ -166,10 +161,7 @@ class MlpModel:
 
 
 def init_network(
-    input_dim: int,
-    hidden: tuple[int, int, int, int] = DEFAULT_HIDDEN,
-    seed: int = 0,
-    activations: tuple[str, ...] = DEFAULT_ACTIVATIONS,
+    input_dim: int, hidden: tuple[int, int, int, int] = DEFAULT_HIDDEN, seed: int = 0
 ) -> MlpModel:
     """Seeded fan-in-scaled uniform initialisation, zero biases.
 
@@ -184,7 +176,7 @@ def init_network(
     if any(h < 1 for h in hidden):
         raise InvalidArchitecture(f"all hidden widths must be >= 1, got {hidden}")
     sizes = (input_dim, *hidden, 1)
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = _rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         limit = 1.0 / np.sqrt(fan_in)
@@ -192,7 +184,7 @@ def init_network(
         biases.append(np.zeros(fan_out))
     return MlpModel(
         layer_sizes=sizes,
-        activations=tuple(activations),
+        activations=DEFAULT_ACTIVATIONS,
         weights=tuple(weights),
         biases=tuple(biases),
     )
@@ -210,30 +202,25 @@ def _forward_pass(weights, biases, activations, x: np.ndarray):
     return zs, outputs
 
 
-def _scaled_inputs(model: MlpModel, m: DesignMatrix) -> np.ndarray:
-    if m.k != model.input_dim:
-        raise DimensionMismatch(f"model expects {model.input_dim} features, got {m.k}")
+def _output(model: MlpModel, x: np.ndarray) -> np.ndarray:
+    """Network output in kW for each row of a raw (n, k) batch: the one inference path."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape[1] != model.input_dim:
+        raise DimensionMismatch(f"model expects {model.input_dim} features, got {x.shape[1]}")
     if model.input_scaler is not None:
-        return model.input_scaler.transform_array(m.rows)
-    return np.asarray(m.rows, dtype=np.float64)
+        x = model.input_scaler.transform_array(x)
+    _, outputs = _forward_pass(model.weights, model.biases, model.activations, x)
+    return outputs[-1][:, 0] * model.target_scale
 
 
 def forward(model: MlpModel, x) -> float:
     """Network output in kW for one feature vector (scaler applied internally)."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    if x.shape[0] != model.input_dim:
-        raise DimensionMismatch(f"model expects {model.input_dim} features, got {x.shape[0]}")
-    if model.input_scaler is not None:
-        x = model.input_scaler.transform_array(x)
-    _, outputs = _forward_pass(model.weights, model.biases, model.activations, x[np.newaxis, :])
-    return float(outputs[-1][0, 0]) * model.target_scale
+    return float(_output(model, np.ravel(x)[np.newaxis, :])[0])
 
 
 def predict(model: MlpModel, m: DesignMatrix) -> np.ndarray:
     """Network output in kW for every row of a design matrix."""
-    x = _scaled_inputs(model, m)
-    _, outputs = _forward_pass(model.weights, model.biases, model.activations, x)
-    return outputs[-1][:, 0] * model.target_scale
+    return _output(model, m.rows)
 
 
 def _layer_views(flat: np.ndarray, sizes) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -260,6 +247,12 @@ def _flat_params(model: MlpModel) -> tuple[np.ndarray, list[np.ndarray], list[np
     for view, value in zip(weights + biases, model.weights + model.biases):
         view[...] = value
     return flat, weights, biases
+
+
+def _peak_scale(target: np.ndarray) -> float:
+    """The default target_scale: the largest absolute target, or 1.0 when every target is 0."""
+    peak = float(np.max(np.abs(target)))
+    return peak if peak > 0 else 1.0
 
 
 def _loss_and_grads(weights, biases, activations, x, y, grads_w, grads_b) -> float:
@@ -300,8 +293,7 @@ def train(
     scaler = fit_scaler(train_matrix)
     x = scaler.transform_array(train_matrix.rows)
     if target_scale is None:
-        peak = float(np.max(np.abs(train_matrix.target)))
-        target_scale = peak if peak > 0 else 1.0
+        target_scale = _peak_scale(train_matrix.target)
     if not (np.isfinite(target_scale) and target_scale > 0):
         raise InvalidConfig(f"target_scale must be finite and > 0, got {target_scale}")
     y = train_matrix.target / target_scale
@@ -315,7 +307,7 @@ def train(
         v = np.zeros_like(theta)
         step = 0
 
-    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    rng = _rng(cfg.seed)
     n = train_matrix.n
     lr = cfg.learning_rate
     losses = []
@@ -355,13 +347,6 @@ def train(
     return trained, TrainHistory(losses=tuple(losses))
 
 
-def _relu_signs(zs, activations) -> np.ndarray:
-    masks = [zs[l] > 0.0 for l, name in enumerate(activations) if name == "relu"]
-    if not masks:
-        return np.zeros(0, dtype=bool)
-    return np.concatenate([m.ravel() for m in masks])
-
-
 def gradient_check(model: MlpModel, sample: DesignMatrix, step: float = 1e-5) -> float:
     """Worst relative disagreement between analytic and numeric gradients.
 
@@ -376,12 +361,8 @@ def gradient_check(model: MlpModel, sample: DesignMatrix, step: float = 1e-5) ->
         raise InvalidConfig(f"gradient check sample must have <= 32 rows, got {sample.n}")
     scaler = model.input_scaler if model.input_scaler is not None else fit_scaler(sample)
     x = scaler.transform_array(sample.rows)
-    if model.target_scale != 1.0 or model.input_scaler is not None:
-        target_scale = model.target_scale
-    else:
-        peak = float(np.max(np.abs(sample.target)))
-        target_scale = peak if peak > 0 else 1.0
-    y = sample.target / target_scale
+    trained = model.target_scale != 1.0 or model.input_scaler is not None
+    y = sample.target / (model.target_scale if trained else _peak_scale(sample.target))
 
     theta, weights, biases = _flat_params(model)
     grad = np.empty_like(theta)
@@ -392,7 +373,8 @@ def gradient_check(model: MlpModel, sample: DesignMatrix, step: float = 1e-5) ->
     def loss_and_signs():
         zs, outputs = _forward_pass(weights, biases, model.activations, x)
         resid = outputs[-1][:, 0] - y
-        return float(resid @ resid) / x.shape[0], _relu_signs(zs, model.activations)
+        signs = [z > 0.0 for z, name in zip(zs, model.activations) if name == "relu"]
+        return float(resid @ resid) / x.shape[0], signs
 
     worst = 0.0
     for i in range(theta.size):
@@ -402,7 +384,7 @@ def gradient_check(model: MlpModel, sample: DesignMatrix, step: float = 1e-5) ->
         theta[i] = original - step
         down, signs_down = loss_and_signs()
         theta[i] = original
-        if not np.array_equal(signs_up, signs_down):
+        if not all(map(np.array_equal, signs_up, signs_down)):
             continue  # kink crossed: finite difference undefined here
         numeric = (up - down) / (2.0 * step)
         if not np.isfinite(numeric):

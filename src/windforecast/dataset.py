@@ -12,7 +12,7 @@ import csv
 import io
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timedelta
 from enum import Enum
 
@@ -39,6 +39,12 @@ OVERPOWER_TOLERANCE = 1.05
 def _rng(seed: int) -> np.random.Generator:
     """The package-wide PRNG: PCG64 seeded with a 64-bit integer."""
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def _check_seed(seed: int) -> None:
+    """Reject a negative seed, which PCG64 cannot take, when a config is built."""
+    if seed < 0:
+        raise InvalidConfig(f"seed must be >= 0, got {seed}")
 
 
 def _row_problems(columns: dict[str, np.ndarray], rated_power: float | None) -> list[tuple[int, str]]:
@@ -242,11 +248,12 @@ class SplitSpec:
             raise InvalidConfig(
                 f"train_fraction must lie in [0.5, 0.99], got {self.train_fraction}"
             )
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
 class MinMaxScaler:
-    """Per-feature [0, 1] scaling; a constant feature maps to 0 everywhere."""
+    """Per-feature [0, 1] scaling within finite 1-D bounds; a constant feature maps to 0."""
 
     mins: np.ndarray
     maxs: np.ndarray
@@ -254,47 +261,25 @@ class MinMaxScaler:
     def __post_init__(self):
         object.__setattr__(self, "mins", _readonly(self.mins))
         object.__setattr__(self, "maxs", _readonly(self.maxs))
-        if self.mins.shape != self.maxs.shape:
-            raise InvalidConfig("mins and maxs must have matching shapes")
-        if np.any(self.maxs < self.mins):
-            raise InvalidConfig("max < min for at least one feature")
-
-    @property
-    def spans(self) -> np.ndarray:
-        span = self.maxs - self.mins
-        return np.where(span == 0, 1.0, span)
+        if self.mins.ndim != 1 or self.mins.shape != self.maxs.shape:
+            raise InvalidConfig("mins and maxs must be 1-D arrays of matching shapes")
+        if not np.all(np.isfinite(self.mins) & np.isfinite(self.maxs) & (self.maxs >= self.mins)):
+            raise InvalidConfig("mins and maxs must be finite, with max >= min for every feature")
 
     def transform_array(self, x: np.ndarray) -> np.ndarray:
-        scaled = (np.asarray(x, dtype=np.float64) - self.mins) / self.spans
+        span = self.maxs - self.mins
+        constant = span == 0
+        scaled = (np.asarray(x, dtype=np.float64) - self.mins) / np.where(constant, 1.0, span)
         # constant feature: span forced to 1 above, numerator is 0 on the
         # training range; zero it explicitly so unseen values also map to 0
-        constant = self.maxs == self.mins
         if np.any(constant):
             scaled = np.where(constant, 0.0, scaled)
         return scaled
-
-    def inverse_array(self, x: np.ndarray) -> np.ndarray:
-        span = np.where(self.maxs == self.mins, 0.0, self.spans)
-        return np.asarray(x, dtype=np.float64) * span + self.mins
 
 
 def fit_scaler(m: DesignMatrix) -> MinMaxScaler:
     """Column minima/maxima of a training matrix. Fit on the train split only."""
     return MinMaxScaler(mins=m.rows.min(axis=0), maxs=m.rows.max(axis=0))
-
-
-def apply_scaler(s: MinMaxScaler, m: DesignMatrix) -> DesignMatrix:
-    """Map each feature through (x - min) / (max - min); target untouched."""
-    if len(s.mins) != m.k:
-        raise InvalidConfig(f"scaler has {len(s.mins)} features, matrix has {m.k}")
-    return DesignMatrix(rows=s.transform_array(m.rows), target=m.target, feature_names=m.feature_names)
-
-
-def invert_scaler(s: MinMaxScaler, m: DesignMatrix) -> DesignMatrix:
-    """Undo ``apply_scaler``; identity within 1e-12 relative on the fit range."""
-    if len(s.mins) != m.k:
-        raise InvalidConfig(f"scaler has {len(s.mins)} features, matrix has {m.k}")
-    return DesignMatrix(rows=s.inverse_array(m.rows), target=m.target, feature_names=m.feature_names)
 
 
 @dataclass(frozen=True)
@@ -317,8 +302,12 @@ class SyntheticConfig:
     seed: int = 42
 
     def __post_init__(self):
+        for name in (f.name for f in fields(self) if isinstance(f.default, float)):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidConfig(f"{name} must be finite, got {getattr(self, name)}")
         if self.n_samples < 1:
             raise InvalidConfig("n_samples must be >= 1")
+        _check_seed(self.seed)
         if not 0 < self.cut_in_speed < self.rated_speed < self.cut_out_speed:
             raise InvalidConfig(
                 "need 0 < cut_in_speed < rated_speed < cut_out_speed, got "

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import ann, regression
 from .dataset import Dataset, DesignMatrix, FeatureSet, MinMaxScaler, SplitSpec, select_features, split
+from .dataset import _check_seed
 from .errors import DataError, FeatureMismatch, InvalidConfig, MalformedModel, SeriesTooShort
 from .metrics import EvalReport
 from .regression import LinearModel, PolynomialModel
@@ -54,6 +55,11 @@ class SweepConfig:
         object.__setattr__(self, "feature_sets", tuple(self.feature_sets))
         object.__setattr__(self, "degrees", tuple(int(d) for d in self.degrees))
         object.__setattr__(self, "persistence_horizons", tuple(int(h) for h in self.persistence_horizons))
+        _check_seed(self.seed)
+        for axis in ("train_fractions", "feature_sets", "degrees", "models", "persistence_horizons"):
+            values = getattr(self, axis)
+            if len(set(values)) != len(values):
+                raise InvalidConfig(f"{axis} lists a value more than once")
         for f in self.train_fractions:
             if not 0.5 <= f <= 0.99:
                 raise InvalidConfig(f"train fraction {f} outside [0.5, 0.99]")
@@ -70,6 +76,10 @@ class SweepConfig:
         for h in self.persistence_horizons:
             if h < 1:
                 raise InvalidConfig(f"persistence horizon must be >= 1, got {h}")
+        gridded = {row["model"] for row in _grid(self)}
+        rowless = [name for name in self.models if name not in gridded]
+        if rowless or not self.models:
+            raise InvalidConfig(f"no grid row for {', '.join(rowless) or 'any model'}: an axis is empty")
 
 
 @dataclass(frozen=True)

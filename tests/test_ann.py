@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from windforecast.ann import (
 from windforecast.dataset import (
     DesignMatrix,
     FeatureSet,
+    MinMaxScaler,
     SyntheticConfig,
     fit_scaler,
     generate_synthetic,
@@ -103,6 +105,8 @@ def test_model_invariants():
             weights=good.weights,
             biases=good.biases,
         )
+    with pytest.raises(InvalidArchitecture, match="input scaler has 2 features"):
+        replace(good, input_scaler=MinMaxScaler(mins=[0.0, 0.0], maxs=[25.0, 360.0]))
 
 
 @pytest.mark.parametrize("target_scale", [math.nan, math.inf, 0.0, -1.0])
@@ -161,6 +165,22 @@ def test_forward_agrees_with_predict():
     batch = predict(net, m)
     for i in range(5):
         assert forward(net, m.rows[i]) == pytest.approx(batch[i], rel=1e-14)
+
+
+def test_inference_is_pinned():
+    d = generate_synthetic(SyntheticConfig(n_samples=300, seed=12))
+    m = select_features(d, FeatureSet.SPEED_DIRECTION)
+    trained, _ = train(init_network(2, seed=8), m, TrainConfig(epochs=2, seed=8), target_scale=d.rated_power)
+    five = dm(m.rows[:5], m.target[:5], m.feature_names)
+    # a 1-row and a 5-row batch may round differently in BLAS, so each has its own literals
+    assert [float(p).hex() for p in predict(trained, five)] == [
+        "0x1.b8b8a5a84f97ap+9", "0x1.b6051cb70927bp+9", "0x1.b4e0a450934ccp+9",
+        "0x1.b6eb8cb639113p+9", "0x1.b36f17cd31aa5p+9",
+    ]
+    assert [forward(trained, row).hex() for row in five.rows] == [
+        "0x1.b8b8a5a84f979p+9", "0x1.b6051cb70927bp+9", "0x1.b4e0a450934cbp+9",
+        "0x1.b6eb8cb639112p+9", "0x1.b36f17cd31aa5p+9",
+    ]
 
 
 def test_sigmoid_layers_stay_in_open_unit_interval():

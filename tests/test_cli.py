@@ -89,6 +89,39 @@ def test_zero_rated_power_exits_2_with_short_message(data_csv, tmp_path, capsys)
     assert capsys.readouterr().err == "data error: rated_power must be finite and > 0, got 0.0\n"
 
 
+@pytest.mark.parametrize("command", ["gen", "fit", "sweep", "gradcheck"])
+def test_negative_seed_exits_2_with_short_message(data_csv, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    args = {
+        "gen": ["--out", out / "d.csv"],
+        "fit": ["--data", data_csv, "--out-dir", out],
+        "sweep": ["--data", data_csv, "--out-dir", out],
+        "gradcheck": [],
+    }[command]
+    assert run([command, *args, "--seed", -1]) == 2
+    assert capsys.readouterr().err == "data error: seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--noise-sd", "nan"), ("--rotor-area", "inf"), ("--air-density", "nan")]
+)
+def test_gen_non_finite_setting_exits_2_naming_it(tmp_path, capsys, flag, value):
+    assert run(["gen", "--out", tmp_path / "d.csv", flag, value]) == 2
+    field = flag[2:].replace("-", "_")
+    assert capsys.readouterr().err == f"data error: {field} must be finite, got {value}\n"
+    assert not (tmp_path / "d.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "flags", [["--model", ","], ["--model", "linear", "--features", ","], ["--train-fraction", "0.8,0.8"]]
+)
+def test_sweep_empty_or_repeated_axis_exits_2(data_csv, tmp_path, capsys, flags):
+    assert run(["sweep", "--data", data_csv, "--out-dir", tmp_path / "out", *flags]) == 2
+    assert capsys.readouterr().err.startswith("data error: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_non_utf8_data_exits_2(tmp_path, capsys):
     path = tmp_path / "latin1.csv"
     path.write_bytes(

@@ -8,7 +8,7 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
-from windforecast import ann, regression
+from windforecast import ann, harness, regression
 from windforecast.dataset import (
     Dataset,
     DesignMatrix,
@@ -182,6 +182,41 @@ def test_sweep_config_validation():
         SweepConfig(persistence_horizons=(0,))
     cfg = SweepConfig(models=("ann", "linear"))
     assert cfg.models == ("linear", "ann")
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        (dict(models=()), "no grid row for any model"),
+        (dict(models=("linear",), feature_sets=()), "no grid row for linear"),
+        (dict(models=("ann",), train_fractions=()), "no grid row for ann"),
+        (dict(models=("linear", "polynomial"), degrees=()), "no grid row for polynomial"),
+        (dict(models=("persistence", "linear"), persistence_horizons=()), "no grid row for persistence"),
+        (dict(train_fractions=(0.8, 0.8)), "train_fractions lists a value more than once"),
+        (dict(feature_sets=(FeatureSet.SPEED_ONLY,) * 2), "feature_sets lists a value more than once"),
+        (dict(degrees=(2, 3, 2)), "degrees lists a value more than once"),
+        (dict(models=("linear", "linear")), "models lists a value more than once"),
+        (dict(persistence_horizons=(1, 1)), "persistence_horizons lists a value more than once"),
+    ],
+)
+def test_sweep_config_rejects_empty_or_repeated_axes(grid, message):
+    with pytest.raises(InvalidConfig, match=message):
+        SweepConfig(**grid)
+
+
+def test_sweep_config_allows_empty_axis_no_requested_model_needs():
+    cfg = SweepConfig(models=("linear",), degrees=(), persistence_horizons=())
+    assert len(list(harness._grid(cfg))) == len(cfg.feature_sets) * len(cfg.train_fractions)
+
+
+@pytest.mark.parametrize(
+    "config, fields",
+    [(SyntheticConfig, {}), (SplitSpec, {"train_fraction": 0.8}), (ann.TrainConfig, {}), (SweepConfig, {})],
+)
+def test_configs_reject_negative_seed(config, fields):
+    with pytest.raises(InvalidConfig, match="^seed must be >= 0, got -1$"):
+        config(**fields, seed=-1)
+    assert config(**fields, seed=0).seed == 0
 
 
 def test_out_of_bounds_fraction_counts_unphysical_predictions(tiny_sweep):

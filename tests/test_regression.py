@@ -300,10 +300,11 @@ def test_json_schema_versioned():
         from_json(json.dumps({"schema": "bogus.v9"}))
 
 
-def _mlp_document(target_scale):
-    """A valid MLP document except for its target_scale (json writes NaN/Infinity)."""
+def _mlp_document(target_scale, **fields):
+    """A valid 1-input MLP document except for its target_scale and ``fields``
+    (json writes NaN/Infinity)."""
     doc = json.loads(to_json(ann.init_network(1, seed=0)))
-    return json.dumps({**doc, "target_scale": target_scale})
+    return json.dumps({**doc, "target_scale": target_scale, **fields})
 
 
 @pytest.mark.parametrize(
@@ -326,6 +327,10 @@ def _mlp_document(target_scale):
         '{"schema": ["windforecast.model.mlp.v1"]}',
         '{"schema": "windforecast.model.linear.v1", "intercept": 1.0, "coefficients": [1.0, 2.0], "feature_names": ["x"]}',
         json.dumps({**json.loads(_mlp_document(1.0)), "input_scaler": {"mins": [0.0]}}),
+        _mlp_document(1.0, input_scaler={"mins": [float("nan")], "maxs": [25.0]}),
+        _mlp_document(1.0, input_scaler={"mins": [0.0], "maxs": [float("inf")]}),
+        _mlp_document(1.0, input_scaler={"mins": [[0.0]], "maxs": [[25.0]]}),
+        _mlp_document(1.0, input_scaler={"mins": [0.0, 0.0], "maxs": [25.0, 360.0]}),
     ],
 )
 def test_malformed_model_document_raises_data_error(text):
