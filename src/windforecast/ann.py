@@ -191,11 +191,15 @@ def init_network(
 
 
 def _forward_pass(weights, biases, activations, x: np.ndarray):
-    """All pre-activations and activations for a (n, k) scaled input batch."""
+    """All pre-activations and activations for a (n, k) scaled input batch.
+
+    With (s, out, in) weights, (s, out) biases and an (s, n, k) batch it runs a
+    stack of s networks, each on its own slice.
+    """
     zs, outputs = [], [x]
     a = x
     for w, b, name in zip(weights, biases, activations):
-        z = a @ w.T + b
+        z = a @ w.swapaxes(-1, -2) + b[..., np.newaxis, :]
         a = ACTIVATIONS[name][0](z)
         zs.append(z)
         outputs.append(a)
@@ -224,29 +228,42 @@ def predict(model: MlpModel, m: DesignMatrix) -> np.ndarray:
 
 
 def _layer_views(flat: np.ndarray, sizes) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per-layer weight and bias views into one flat parameter-shaped buffer.
+    """Per-layer weight and bias views into one stacked (s, P) flat buffer.
 
-    Layer l holds its (out, in) weights row-major, then its out biases, so
-    an update written to ``flat`` reaches every layer at once.
+    Row i holds network i: layer l's (out, in) weights row-major, then its out
+    biases, so the views have shapes (s, out, in) and (s, out), and an update
+    written to ``flat`` reaches every layer of every network at once.
     """
+    s = flat.shape[0]
     weights, biases = [], []
     start = 0
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         stop = start + fan_out * fan_in
-        weights.append(flat[start:stop].reshape(fan_out, fan_in))
-        biases.append(flat[stop : stop + fan_out])
+        weights.append(flat[:, start:stop].reshape(s, fan_out, fan_in))
+        biases.append(flat[:, stop : stop + fan_out])
         start = stop + fan_out
     return weights, biases
 
 
-def _flat_params(model: MlpModel) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-    """A flat copy of the model's parameters, with its per-layer views."""
-    sizes = model.layer_sizes
-    flat = np.empty(sum(o * i + o for i, o in zip(sizes[:-1], sizes[1:])))
+def _stack_params(models) -> tuple[np.ndarray, tuple[int, ...], list[np.ndarray], list[np.ndarray]]:
+    """A flat (s, P) copy of the networks' parameters: the buffer, its layer
+    sizes and its per-layer views.
+
+    The networks may differ only in input width. Layer 0 is as wide as the
+    widest network, and a narrower network's extra weight columns are 0.
+    """
+    first = models[0]
+    for model in models[1:]:
+        if model.layer_sizes[1:] != first.layer_sizes[1:] or model.activations != first.activations:
+            raise InvalidArchitecture("networks in a stack must share hidden widths and activations")
+    sizes = (max(model.input_dim for model in models), *first.layer_sizes[1:])
+    flat = np.zeros((len(models), sum(o * i + o for i, o in zip(sizes[:-1], sizes[1:]))))
     weights, biases = _layer_views(flat, sizes)
-    for view, value in zip(weights + biases, model.weights + model.biases):
-        view[...] = value
-    return flat, weights, biases
+    for i, model in enumerate(models):
+        weights[0][i, :, : model.input_dim] = model.weights[0]
+        for view, value in zip(weights[1:] + biases, model.weights[1:] + model.biases):
+            view[i] = value
+    return flat, sizes, weights, biases
 
 
 def _peak_scale(target: np.ndarray) -> float:
@@ -255,21 +272,31 @@ def _peak_scale(target: np.ndarray) -> float:
     return peak if peak > 0 else 1.0
 
 
-def _loss_and_grads(weights, biases, activations, x, y, grads_w, grads_b) -> float:
-    """Mean squared error over the batch; writes its parameter gradients
-    into ``grads_w`` and ``grads_b`` in place."""
+def _loss_and_grads(weights, biases, activations, widths, x, y, grads_w, grads_b) -> np.ndarray:
+    """Each stacked network's mean squared error over the batch; writes their
+    parameter gradients into ``grads_w`` and ``grads_b`` in place.
+
+    ``x`` is the (s, n, k) zero-padded batch and ``widths`` each network's own
+    input width. Layer 0's weight gradient is taken on a contiguous copy of
+    the network's own columns, as training it alone would: BLAS rounds a
+    padded product, or a strided 1-column one, differently. The padded
+    columns are never written.
+    """
     zs, outputs = _forward_pass(weights, biases, activations, x)
-    resid = outputs[-1][:, 0] - y
-    n = x.shape[0]
-    loss = float(resid @ resid) / n
-    delta = (2.0 / n) * resid[:, np.newaxis]
+    resid = outputs[-1][:, :, 0] - y
+    n = x.shape[1]
+    losses = np.array([float(r @ r) for r in resid]) / n
+    delta = (2.0 / n) * resid[:, :, np.newaxis]
     for l in range(len(weights) - 1, -1, -1):
         dz = delta * ACTIVATIONS[activations[l]][1](zs[l], outputs[l + 1])
-        np.matmul(dz.T, outputs[l], out=grads_w[l])
-        dz.sum(axis=0, out=grads_b[l])
+        dz.sum(axis=1, out=grads_b[l])
         if l > 0:
+            np.matmul(dz.swapaxes(1, 2), outputs[l], out=grads_w[l])
             delta = dz @ weights[l]
-    return loss
+        else:
+            for i, k in enumerate(widths):
+                np.matmul(dz[i].T, np.ascontiguousarray(x[i, :, :k]), out=grads_w[0][i, :, :k])
+    return losses
 
 
 def train(
@@ -284,23 +311,56 @@ def train(
     leaks evaluation statistics. Batches are drawn by a PCG64 shuffle each
     epoch; with a fixed (data, seed, config) the result is identical across
     runs. ``target_scale`` defaults to the maximum training target (the
-    plant's rated power is the conventional choice).
+    plant's rated power is the conventional choice). This is a stack of one
+    (see ``train_stack``).
     """
-    if train_matrix.n < cfg.batch_size:
-        raise InvalidConfig(
-            f"batch_size {cfg.batch_size} exceeds training rows {train_matrix.n}"
-        )
-    scaler = fit_scaler(train_matrix)
-    x = scaler.transform_array(train_matrix.rows)
-    if target_scale is None:
-        target_scale = _peak_scale(train_matrix.target)
-    if not (np.isfinite(target_scale) and target_scale > 0):
-        raise InvalidConfig(f"target_scale must be finite and > 0, got {target_scale}")
-    y = train_matrix.target / target_scale
+    return train_stack([model], [train_matrix], cfg, target_scale)[0]
 
-    theta, weights, biases = _flat_params(model)
-    grad = np.empty_like(theta)
-    grads_w, grads_b = _layer_views(grad, model.layer_sizes)
+
+def train_stack(
+    models,
+    train_matrices,
+    cfg: TrainConfig,
+    target_scale: float | None = None,
+) -> list[tuple[MlpModel, TrainHistory]]:
+    """Train networks ``models[i]`` on ``train_matrices[i]`` as one stack.
+
+    The matrices must have the same row count, so every network draws the
+    same mini-batches; each mini-batch step then makes one set of numpy calls
+    for the whole stack. Inputs are zero-padded to the widest network. Each
+    result equals ``train`` of that network alone, bit for bit: the networks
+    share no arithmetic, and their padded weight columns start at 0 and get a
+    gradient of exactly 0, so Adam and SGD keep them at 0. A network whose
+    loss turns non-finite raises ``NonFiniteLoss`` with its index.
+    """
+    if not models or len(models) != len(train_matrices):
+        raise InvalidConfig(
+            f"need one training matrix per network, got {len(train_matrices)} for {len(models)}"
+        )
+    n = train_matrices[0].n
+    if any(m.n != n for m in train_matrices):
+        raise InvalidConfig("networks in a stack must share the training row count")
+    for model, m in zip(models, train_matrices):
+        if m.k != model.input_dim:
+            raise DimensionMismatch(f"model expects {model.input_dim} features, got {m.k}")
+    if n < cfg.batch_size:
+        raise InvalidConfig(f"batch_size {cfg.batch_size} exceeds training rows {n}")
+    scalers = [fit_scaler(m) for m in train_matrices]
+    scales = [_peak_scale(m.target) if target_scale is None else target_scale for m in train_matrices]
+    for scale in scales:
+        if not (np.isfinite(scale) and scale > 0):
+            raise InvalidConfig(f"target_scale must be finite and > 0, got {scale}")
+
+    theta, sizes, weights, biases = _stack_params(models)
+    x = np.zeros((len(models), n, sizes[0]))
+    for i, (scaler, m) in enumerate(zip(scalers, train_matrices)):
+        x[i, :, : m.k] = scaler.transform_array(m.rows)
+    y = np.stack([m.target / scale for m, scale in zip(train_matrices, scales)])
+    widths = [model.input_dim for model in models]
+    activations = models[0].activations
+
+    grad = np.zeros_like(theta)
+    grads_w, grads_b = _layer_views(grad, sizes)
     adam = cfg.optimizer == "adam"
     if adam:
         m = np.zeros_like(theta)
@@ -308,21 +368,21 @@ def train(
         step = 0
 
     rng = _rng(cfg.seed)
-    n = train_matrix.n
     lr = cfg.learning_rate
     losses = []
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
-        x_epoch, y_epoch = x[order], y[order]
-        sse = 0.0
+        x_epoch, y_epoch = x[:, order], y[:, order]
+        sse = np.zeros(len(models))
         for start in range(0, n, cfg.batch_size):
             stop = min(start + cfg.batch_size, n)
             batch_loss = _loss_and_grads(
-                weights, biases, model.activations,
-                x_epoch[start:stop], y_epoch[start:stop], grads_w, grads_b,
+                weights, biases, activations, widths,
+                x_epoch[:, start:stop], y_epoch[:, start:stop], grads_w, grads_b,
             )
-            if not np.isfinite(batch_loss):
-                raise NonFiniteLoss(epoch + 1, lr)
+            diverged = np.flatnonzero(~np.isfinite(batch_loss))
+            if diverged.size:
+                raise NonFiniteLoss(epoch + 1, lr, network=int(diverged[0]))
             sse += batch_loss * (stop - start)
             if adam:
                 step += 1
@@ -336,15 +396,20 @@ def train(
                 theta -= lr * grad
         losses.append(sse / n)
 
-    trained = MlpModel(
-        layer_sizes=model.layer_sizes,
-        activations=model.activations,
-        weights=tuple(weights),
-        biases=tuple(biases),
-        input_scaler=scaler,
-        target_scale=float(target_scale),
-    )
-    return trained, TrainHistory(losses=tuple(losses))
+    return [
+        (
+            MlpModel(
+                layer_sizes=model.layer_sizes,
+                activations=model.activations,
+                weights=(weights[0][i, :, : model.input_dim], *(w[i] for w in weights[1:])),
+                biases=tuple(b[i] for b in biases),
+                input_scaler=scalers[i],
+                target_scale=float(scales[i]),
+            ),
+            TrainHistory(losses=tuple(epoch_losses[i] for epoch_losses in losses)),
+        )
+        for i, model in enumerate(models)
+    ]
 
 
 def gradient_check(model: MlpModel, sample: DesignMatrix, step: float = 1e-5) -> float:
@@ -359,22 +424,28 @@ def gradient_check(model: MlpModel, sample: DesignMatrix, step: float = 1e-5) ->
     """
     if sample.n > 32:
         raise InvalidConfig(f"gradient check sample must have <= 32 rows, got {sample.n}")
+    if sample.k != model.input_dim:
+        raise DimensionMismatch(f"model expects {model.input_dim} features, got {sample.k}")
     scaler = model.input_scaler if model.input_scaler is not None else fit_scaler(sample)
-    x = scaler.transform_array(sample.rows)
+    x = scaler.transform_array(sample.rows)[np.newaxis]
     trained = model.target_scale != 1.0 or model.input_scaler is not None
     y = sample.target / (model.target_scale if trained else _peak_scale(sample.target))
 
-    theta, weights, biases = _flat_params(model)
-    grad = np.empty_like(theta)
-    _loss_and_grads(weights, biases, model.activations, x, y, *_layer_views(grad, model.layer_sizes))
+    flat, sizes, weights, biases = _stack_params([model])
+    flat_grad = np.zeros_like(flat)
+    _loss_and_grads(
+        weights, biases, model.activations, [model.input_dim], x, y[np.newaxis],
+        *_layer_views(flat_grad, sizes),
+    )
+    theta, grad = flat[0], flat_grad[0]
     if not np.all(np.isfinite(grad)):
         return float("inf")
 
     def loss_and_signs():
         zs, outputs = _forward_pass(weights, biases, model.activations, x)
-        resid = outputs[-1][:, 0] - y
+        resid = outputs[-1][0, :, 0] - y
         signs = [z > 0.0 for z, name in zip(zs, model.activations) if name == "relu"]
-        return float(resid @ resid) / x.shape[0], signs
+        return float(resid @ resid) / sample.n, signs
 
     worst = 0.0
     for i in range(theta.size):

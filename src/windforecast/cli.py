@@ -133,15 +133,24 @@ def _cmd_correlate(args) -> int:
     return 0
 
 
+def _fit_settings(args) -> tuple[FeatureSet, SplitSpec, ann.TrainConfig]:
+    """The feature set, split and ANN training that the model flags name, each checked."""
+    return (
+        FeatureSet.parse(args.features),
+        SplitSpec(train_fraction=args.train_fraction, seed=args.seed),
+        ann.TrainConfig(epochs=args.epochs, seed=args.seed),
+    )
+
+
 def _split_and_fit(dataset, args):
     """Fit ``args.model`` on its train split; returns (model, history, test matrix)."""
-    fs = FeatureSet.parse(args.features)
-    train_ds, test_ds = split(dataset, SplitSpec(train_fraction=args.train_fraction, seed=args.seed))
+    fs, spec, ann_train = _fit_settings(args)
+    train_ds, test_ds = split(dataset, spec)
     model, history = harness.fit_model(
         args.model,
         select_features(train_ds, fs),
         degree=args.degree,
-        ann_train=ann.TrainConfig(epochs=args.epochs, seed=args.seed),
+        ann_train=ann_train,
         target_scale=dataset.rated_power,
     )
     return model, history, select_features(test_ds, fs)
@@ -155,6 +164,7 @@ def _require_degree(command: str, args):
 def _fit_single(dataset, args):
     """Fit and score one configured model; returns (model, history, report), None where absent."""
     if args.model == "persistence":
+        _fit_settings(args)  # persistence uses none of them, but a bad one is still an error
         actual, predicted = harness.persistence_forecast(dataset, args.horizon)
         return None, None, EvalReport.from_predictions(actual, predicted)
     model, history, test_m = _split_and_fit(dataset, args)

@@ -128,11 +128,15 @@ class DimensionMismatch(DataError):
 
 
 class NonFiniteLoss(NumericError):
-    """Training loss became NaN or infinite (divergence)."""
+    """Training loss became NaN or infinite (divergence).
 
-    def __init__(self, epoch, learning_rate):
+    ``network`` is the index of the diverged network in a training stack.
+    """
+
+    def __init__(self, epoch, learning_rate, network=0):
         self.epoch = epoch
         self.learning_rate = learning_rate
+        self.network = network
         super().__init__(
             f"training diverged at epoch {epoch} (learning_rate={learning_rate}); "
             "try a smaller learning rate"

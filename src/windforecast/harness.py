@@ -21,7 +21,7 @@ import numpy as np
 from . import ann, regression
 from .dataset import Dataset, DesignMatrix, FeatureSet, MinMaxScaler, SplitSpec, select_features, split
 from .dataset import _check_seed
-from .errors import DataError, FeatureMismatch, InvalidConfig, MalformedModel, SeriesTooShort
+from .errors import DataError, FeatureMismatch, InvalidConfig, MalformedModel, NonFiniteLoss, SeriesTooShort
 from .metrics import EvalReport
 from .regression import LinearModel, PolynomialModel
 
@@ -135,7 +135,8 @@ def fit_model(
 ):
     """Fit one trainable model by name; returns ``(model, history)``.
 
-    The one place a model name picks a fit. The ANN starts from
+    The one place a model name picks a fit; only ``run_sweep`` trains its
+    ANN rows apart, in stacks (``_fit_ann_stack``). The ANN starts from
     ``init_network(seed=ann_train.seed)``; ``history`` is its
     ``TrainHistory`` and None for the regressions.
     """
@@ -147,6 +148,30 @@ def fit_model(
         net = ann.init_network(train.k, seed=ann_train.seed)
         return ann.train(net, train, ann_train, target_scale=target_scale)
     raise InvalidConfig(f"unknown model {name!r}; choose from {TRAINABLE_MODELS}")
+
+
+def _fit_ann_stack(trains: dict, ann_train: ann.TrainConfig, target_scale: float | None) -> dict:
+    """The trained MLP for each key of ``trains``, or the exception that failed its fit.
+
+    The matrices share a row count, so their networks train as one stack
+    (``ann.train_stack``), each from ``init_network(seed=ann_train.seed)`` as
+    in ``fit_model``. A network that diverges fails alone: it is dropped and
+    the rest train again, which changes none of their bits, since networks in
+    a stack never mix. Any other error fails every network.
+    """
+    fitted = {}
+    while len(fitted) < len(trains):
+        pending = [key for key in trains if key not in fitted]
+        nets = [ann.init_network(trains[key].k, seed=ann_train.seed) for key in pending]
+        try:
+            stack = ann.train_stack(nets, [trains[key] for key in pending], ann_train, target_scale)
+        except NonFiniteLoss as exc:
+            fitted[pending[exc.network]] = exc
+            continue
+        except Exception as exc:
+            return {**fitted, **dict.fromkeys(pending, exc)}
+        fitted.update((key, model) for key, (model, _) in zip(pending, stack))
+    return fitted
 
 
 # -- model documents ----------------------------------------------------------
@@ -229,7 +254,8 @@ def run_sweep(d: Dataset, cfg: SweepConfig = SweepConfig()) -> list[SweepRow]:
     """Evaluate every configuration of the grid on held-out test data.
 
     The split for a given fraction uses the sweep seed and is reused across
-    models and feature sets. Identical inputs yield an identical row list.
+    models and feature sets; the ANN rows of one fraction train as one stack.
+    Identical inputs yield an identical row list.
     """
 
     @functools.cache
@@ -241,7 +267,11 @@ def run_sweep(d: Dataset, cfg: SweepConfig = SweepConfig()) -> list[SweepRow]:
         train_ds, test_ds = splits(fraction)
         return select_features(train_ds, fs), select_features(test_ds, fs)
 
-    fit_args = dict(ann_train=cfg.ann_train, target_scale=d.rated_power)
+    @functools.cache
+    def networks(fraction: float) -> dict:
+        trains = {fs: matrices(fraction, fs)[0] for fs in cfg.feature_sets}
+        return _fit_ann_stack(trains, cfg.ann_train, d.rated_power)
+
     rows: list[SweepRow] = []
     for fields in _grid(cfg):
         try:
@@ -249,7 +279,12 @@ def run_sweep(d: Dataset, cfg: SweepConfig = SweepConfig()) -> list[SweepRow]:
                 actual, predicted = persistence_forecast(d, fields["horizon"])
             else:
                 train_m, test_m = matrices(fields["train_fraction"], fields["feature_set"])
-                model, _ = fit_model(fields["model"], train_m, degree=fields["degree"], **fit_args)
+                if fields["model"] == "ann":
+                    model = networks(fields["train_fraction"])[fields["feature_set"]]
+                    if isinstance(model, Exception):
+                        raise model
+                else:
+                    model, _ = fit_model(fields["model"], train_m, degree=fields["degree"])
                 actual, predicted = test_m.target, predict_with(model, test_m)
             oob = float(np.mean((predicted < 0) | (predicted > d.rated_power)))
             report = EvalReport.from_predictions(actual, predicted)

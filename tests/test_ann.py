@@ -159,6 +159,15 @@ def test_forward_dimension_mismatch():
         predict(net, dm(np.ones((4, 1)), np.zeros(4)))
 
 
+def test_gradient_check_and_train_reject_wrong_width():
+    net = init_network(2, seed=0)
+    three_columns = dm(np.ones((4, 3)), np.zeros(4))
+    with pytest.raises(DimensionMismatch, match="model expects 2 features, got 3"):
+        gradient_check(net, three_columns)
+    with pytest.raises(DimensionMismatch, match="model expects 2 features, got 3"):
+        train(net, three_columns, TrainConfig(batch_size=4))
+
+
 def test_forward_agrees_with_predict():
     net = init_network(2, seed=21)
     m = dm(np.random.default_rng(0).uniform(0, 1, (5, 2)), np.zeros(5))
@@ -369,6 +378,79 @@ def test_train_matches_per_array_reference_bit_for_bit(fs, optimizer):
     assert list(history.losses) == losses
     for got, want in zip(trained.weights + trained.biases, weights + biases):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+def test_stack_matches_single_networks_bit_for_bit(monkeypatch, optimizer):
+    # 6 batches of 32 + 11: BLAS rounds an 11-row product with a strided
+    # 1-column operand differently, so the last batch checks layer 0's layout
+    d = generate_synthetic(SyntheticConfig(n_samples=203, seed=14))
+    mats = [select_features(d, fs) for fs in FeatureSet]
+    nets = [init_network(m.k, seed=15) for m in mats]
+    cfg = TrainConfig(epochs=3, batch_size=32, learning_rate=0.01, seed=16, optimizer=optimizer)
+    steps = []  # per call: each network's padding-is-zero flag and its gradients at its own width
+    loss_and_grads = ann._loss_and_grads
+
+    def recording(weights, biases, activations, widths, x, y, grads_w, grads_b):
+        losses = loss_and_grads(weights, biases, activations, widths, x, y, grads_w, grads_b)
+        steps.append([
+            (
+                not np.any(weights[0][i, :, k:]),
+                [grads_w[0][i, :, :k].copy(), *(g[i].copy() for g in grads_w[1:] + grads_b)],
+            )
+            for i, k in enumerate(widths)
+        ])
+        return losses
+
+    monkeypatch.setattr(ann, "_loss_and_grads", recording)
+    alone = [train(net, m, cfg) for net, m in zip(nets, mats)]
+    alone_steps = [step for (step,) in steps]
+    steps.clear()
+    stacked = ann.train_stack(nets, mats, cfg)
+
+    # rounding differences in a gradient can vanish in the update, so every
+    # step's gradient is compared, not only the trained weights
+    for t, step in enumerate(steps):
+        for i, (padding_zero, grads) in enumerate(step):
+            assert padding_zero
+            _, want = alone_steps[i * len(steps) + t]
+            for got_grad, want_grad in zip(grads, want, strict=True):
+                assert np.array_equal(got_grad, want_grad), (i, t)
+    for (got, got_history), (want, want_history) in zip(stacked, alone, strict=True):
+        assert got_history.losses == want_history.losses
+        assert got.target_scale == want.target_scale
+        got_arrays = (*got.weights, *got.biases, got.input_scaler.mins, got.input_scaler.maxs)
+        want_arrays = (*want.weights, *want.biases, want.input_scaler.mins, want.input_scaler.maxs)
+        for got_array, want_array in zip(got_arrays, want_arrays, strict=True):
+            assert np.array_equal(got_array, want_array)
+
+
+def test_stack_divergence_names_the_network():
+    rng = np.random.default_rng(0)
+    x = rng.uniform(0.0, 1.0, 200)
+    m = dm(x, 2.0 * x)
+    calm = init_network(1, seed=1)
+    wild = replace(calm, weights=tuple(w * 1e160 for w in calm.weights))
+    with np.errstate(all="ignore"):  # overflow on the way to divergence is the point
+        with pytest.raises(NonFiniteLoss) as exc:
+            ann.train_stack([calm, wild], [m, m], TrainConfig(epochs=2, seed=0))
+    assert exc.value.network == 1
+    assert exc.value.epoch == 1
+
+
+def test_stack_validation():
+    d = generate_synthetic(SyntheticConfig(n_samples=64, seed=1))
+    m1 = select_features(d, FeatureSet.SPEED_ONLY)
+    m3 = select_features(d, FeatureSet.SPEED_DIRECTION_TEMPERATURE)
+    cfg = TrainConfig(epochs=1)
+    with pytest.raises(InvalidConfig, match="share the training row count"):
+        ann.train_stack([init_network(1), init_network(1)], [m1, dm(m1.rows[:40], m1.target[:40])], cfg)
+    with pytest.raises(InvalidConfig, match="one training matrix per network"):
+        ann.train_stack([init_network(1)], [m1, m1], cfg)
+    with pytest.raises(DimensionMismatch):
+        ann.train_stack([init_network(1), init_network(1)], [m1, m3], cfg)
+    with pytest.raises(InvalidArchitecture, match="share hidden widths"):
+        ann.train_stack([init_network(1), init_network(3, hidden=(8, 8, 8, 8))], [m1, m3], cfg)
 
 
 def test_sigmoid_matches_masked_reference_bit_for_bit():

@@ -167,6 +167,22 @@ def test_fit_persistence(data_csv, capsys):
     assert "r_squared=" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--seed", "-1", "seed must be >= 0, got -1"),
+        ("--train-fraction", "5", "train_fraction must lie in [0.5, 0.99], got 5.0"),
+        ("--features", "bogus", "unknown feature set 'bogus'"),
+        ("--epochs", "0", "epochs must be >= 1"),
+    ],
+)
+def test_fit_persistence_checks_model_flags(data_csv, capsys, flag, value, message):
+    assert run(["fit", "--data", data_csv, "--model", "persistence", flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and message in err
+    assert err.count("\n") == 1
+
+
 def test_fit_polynomial_requires_degree(data_csv):
     assert run(["fit", "--data", data_csv, "--model", "polynomial"]) == 1
 

@@ -171,6 +171,73 @@ def test_sweep_records_failures_without_aborting():
         assert r.report is not None
 
 
+PINNED_ANN_ROWS = {
+    # (feature set, fraction): float.hex of mae, rmse and r_squared
+    ("speed_only", 0.85): ("0x1.9f82268540ff7p+8", "0x1.0c45a2be0cc93p+9", "0x1.8f4cbe3840b80p-4"),
+    ("speed_only", 0.7): ("0x1.a8ffaee55d2e6p+8", "0x1.0e6ae1adcaf5bp+9", "0x1.b33f0960aefe8p-4"),
+    ("speed_direction", 0.85): ("0x1.853616b15135fp+8", "0x1.f5c784228db58p+8", "0x1.af69b7e70b060p-3"),
+    ("speed_direction", 0.7): ("0x1.a310426373c9fp+8", "0x1.0c28d590888dbp+9", "0x1.f0203a2e7d618p-4"),
+    ("speed_temperature", 0.85): ("0x1.7eba1356826fcp+8", "0x1.ec6649bf16cb6p+8", "0x1.eb49393876330p-3"),
+    ("speed_temperature", 0.7): ("0x1.9c60995a6e73fp+8", "0x1.0868b8fc9a0efp+9", "0x1.2a0ee1dd4381cp-3"),
+    ("speed_direction_temperature", 0.85): (
+        "0x1.9d3af294edc3ap+8", "0x1.188541646b461p+9", "0x1.b0430dab68bc0p-7"),
+    ("speed_direction_temperature", 0.7): (
+        "0x1.93158380dbb7dp+8", "0x1.25f9a599f53b7p+9", "-0x1.ccb641e6e3d80p-5"),
+}
+
+
+def test_ann_sweep_rows_are_pinned():
+    d = generate_synthetic(SyntheticConfig(n_samples=2000, seed=42))
+    cfg = SweepConfig(train_fractions=(0.85, 0.7), models=("ann",), ann_train=FAST_ANN)
+    rows = run_sweep(d, cfg)
+    got = {
+        (r.feature_set.tag, r.train_fraction): tuple(
+            x.hex() for x in (r.report.mae, r.report.rmse, r.report.r_squared)
+        )
+        for r in rows
+    }
+    assert [(r.feature_set.tag, r.train_fraction) for r in rows] == list(PINNED_ANN_ROWS)
+    assert got == PINNED_ANN_ROWS
+
+
+def test_sweep_divergence_fails_only_its_own_row(monkeypatch):
+    d = generate_synthetic(SyntheticConfig(n_samples=400, seed=42))
+    cfg = SweepConfig(train_fractions=(0.85, 0.7), models=("ann",), ann_train=FAST_ANN)
+    calm = run_sweep(d, replace(cfg, feature_sets=tuple(FeatureSet)[1:]))
+    init_network = ann.init_network
+
+    def exploding(input_dim, hidden=ann.DEFAULT_HIDDEN, seed=0):
+        net = init_network(input_dim, hidden, seed)
+        if input_dim == 1:  # speed_only, the first network of each stack
+            net = replace(net, weights=tuple(w * 1e160 for w in net.weights))
+        return net
+
+    monkeypatch.setattr(ann, "init_network", exploding)
+    with np.errstate(all="ignore"):  # overflow on the way to divergence is the point
+        rows = run_sweep(d, cfg)
+    diverged = [r for r in rows if r.feature_set is FeatureSet.SPEED_ONLY]
+    assert [r.train_fraction for r in diverged] == [0.85, 0.7]
+    for row in diverged:
+        assert row.report is None
+        assert row.error == (
+            "NonFiniteLoss: training diverged at epoch 1 (learning_rate=0.001); "
+            "try a smaller learning rate"
+        )
+    assert [r for r in rows if r.feature_set is not FeatureSet.SPEED_ONLY] == calm
+
+
+def test_sweep_batch_larger_than_train_rows_fails_every_ann_row_of_that_fraction():
+    d = generate_synthetic(SyntheticConfig(n_samples=40, seed=2))
+    cfg = SweepConfig(train_fractions=(0.9, 0.5), models=("ann",), ann_train=FAST_ANN)
+    rows = run_sweep(d, cfg)
+    assert len(rows) == 8
+    for row in rows:
+        if row.train_fraction == 0.5:
+            assert row.error == "InvalidConfig: batch_size 32 exceeds training rows 20"
+        else:
+            assert row.error is None
+
+
 def test_sweep_config_validation():
     with pytest.raises(InvalidConfig):
         SweepConfig(train_fractions=(0.3,))
