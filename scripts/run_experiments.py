@@ -28,6 +28,7 @@ from windforecast.dataset import (
     split,
     write_csv,
 )
+from windforecast.errors import ConditionWarning
 
 
 def featured_plot_data(dataset, out_dir: Path, seed: int, epochs: int) -> None:
@@ -44,12 +45,9 @@ def featured_plot_data(dataset, out_dir: Path, seed: int, epochs: int) -> None:
     }
     (out_dir / "ann_loss_history.csv").write_text(ann.history_to_csv(fits["ann"][1]))
     for name, (model, _) in fits.items():
-        (out_dir / f"{name}_power_curve.csv").write_text(
-            harness.emit_power_curve_points(model, test_m)
-        )
-        (out_dir / f"{name}_pred_vs_actual.csv").write_text(
-            harness.emit_pred_vs_actual(model, test_m)
-        )
+        curve, scatter = harness.plot_data(model, test_m)
+        (out_dir / f"{name}_power_curve.csv").write_text(curve)
+        (out_dir / f"{name}_pred_vs_actual.csv").write_text(scatter)
         print(f"plot data: {name}")
 
 
@@ -83,7 +81,7 @@ def main(argv=None) -> int:
     with warnings.catch_warnings():
         # raw degree-5 direction monomials trip the condition warning on
         # every fit; the estimate is recorded per model, keep the log quiet
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("ignore", ConditionWarning)
         rows = harness.run_sweep(dataset, cfg)
         (out_dir / "sweep.csv").write_text(harness.sweep_csv(rows))
         (out_dir / "sweep.json").write_text(harness.sweep_json(rows, cfg))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import DesignMatrix, MinMaxScaler, _check_seed, _readonly, _rng, fit_scaler
+from .dataset import DesignMatrix, MinMaxScaler, _check_seed, _csv_text, _readonly, _rng, fit_scaler
 from .errors import (
     DimensionMismatch,
     InvalidArchitecture,
@@ -468,6 +468,4 @@ def gradient_check(model: MlpModel, sample: DesignMatrix, step: float = 1e-5) ->
 
 def history_to_csv(history: TrainHistory) -> str:
     """Loss curve as CSV with 1-based epoch numbers."""
-    lines = ["epoch,loss"]
-    lines.extend(f"{i},{loss!r}" for i, loss in enumerate(history.losses, start=1))
-    return "\n".join(lines) + "\n"
+    return _csv_text(("epoch", "loss"), enumerate(history.losses, start=1))

@@ -222,8 +222,9 @@ def _cmd_plot_data(args) -> int:
     out = _out_dir(args)
     curve_path = out / f"{args.model}_power_curve.csv"
     scatter_path = out / f"{args.model}_pred_vs_actual.csv"
-    curve_path.write_text(harness.emit_power_curve_points(model, test_m))
-    scatter_path.write_text(harness.emit_pred_vs_actual(model, test_m))
+    curve, scatter = harness.plot_data(model, test_m)
+    curve_path.write_text(curve)
+    scatter_path.write_text(scatter)
     print(f"wrote {curve_path}")
     print(f"wrote {scatter_path}")
     return 0

@@ -418,17 +418,24 @@ def select_features(dataset: Dataset, fs: FeatureSet) -> DesignMatrix:
     return DesignMatrix(rows=rows, target=dataset.column("power"), feature_names=fs.columns)
 
 
-def write_csv(dataset: Dataset) -> str:
-    """Serialize to the canonical CSV format; parse_csv inverts it exactly."""
+def _csv_text(header, rows) -> str:
+    """The one CSV writer: ``header``, then ``rows``, each line ended by a line feed.
+
+    A Python float is written as its repr, the shortest string that
+    round-trips it exactly, None as an empty cell, and a cell holding a comma
+    is quoted. Pass arrays as ``.tolist()``: a numpy scalar's repr names its type.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    columns = (dataset.column(name).tolist() for name in CSV_HEADER[1:])
-    # repr gives the shortest string that round-trips the float64 exactly
-    writer.writerows(
-        (ts.isoformat(), *map(repr, values)) for ts, *values in zip(dataset.timestamps, *columns)
-    )
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def write_csv(dataset: Dataset) -> str:
+    """Serialize to the canonical CSV format; parse_csv inverts it exactly."""
+    columns = (dataset.column(name).tolist() for name in CSV_HEADER[1:])
+    return _csv_text(CSV_HEADER, zip((ts.isoformat() for ts in dataset.timestamps), *columns))
 
 
 def parse_csv(source, rated_power: float | None = None) -> Dataset:

@@ -12,7 +12,6 @@ failed-row records instead of aborting the sweep.
 from __future__ import annotations
 
 import functools
-import io
 import json
 from dataclasses import asdict, dataclass, fields, is_dataclass
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import ann, regression
 from .dataset import Dataset, DesignMatrix, FeatureSet, MinMaxScaler, SplitSpec, select_features, split
-from .dataset import _check_seed
+from .dataset import _check_seed, _csv_text
 from .errors import DataError, FeatureMismatch, InvalidConfig, MalformedModel, NonFiniteLoss, SeriesTooShort
 from .metrics import EvalReport
 from .regression import LinearModel, PolynomialModel
@@ -319,25 +318,9 @@ def _row_values(row: SweepRow) -> tuple:
     )
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def sweep_csv(rows: list[SweepRow]) -> str:
     """Primary report format; first line carries the schema version."""
-    import csv as _csv
-
-    buf = io.StringIO()
-    buf.write(f"# schema={SWEEP_SCHEMA}\n")
-    writer = _csv.writer(buf, lineterminator="\n")
-    writer.writerow(SWEEP_COLUMNS)
-    for row in rows:
-        writer.writerow(tuple(_csv_cell(value) for value in _row_values(row)))
-    return buf.getvalue()
+    return f"# schema={SWEEP_SCHEMA}\n" + _csv_text(SWEEP_COLUMNS, map(_row_values, rows))
 
 
 def sweep_json(rows: list[SweepRow], cfg: SweepConfig) -> str:
@@ -358,31 +341,21 @@ def sweep_json(rows: list[SweepRow], cfg: SweepConfig) -> str:
     return json.dumps(doc, indent=2)
 
 
-# -- plot-data emitters -------------------------------------------------------
+# -- plot data ----------------------------------------------------------------
 
-def emit_power_curve_points(model, test: DesignMatrix) -> str:
-    """CSV of (wind_speed, actual_power, predicted_power) sorted by speed.
+def plot_data(model, test: DesignMatrix) -> tuple[str, str]:
+    """The power-curve and predicted-vs-actual CSVs of ``model`` on ``test``, from one prediction.
 
-    Enough to regenerate scatter-plus-curve figures for any fitted model.
+    The curve is (wind_speed, actual_power, predicted_power) sorted by speed,
+    enough to regenerate scatter-plus-curve figures; the scatter is
+    (actual_power, predicted_power) pairs in test-set order.
     """
     if "wind_speed" not in test.feature_names:
         raise FeatureMismatch("test matrix has no wind_speed column")
     speed = test.rows[:, test.feature_names.index("wind_speed")]
     predicted = predict_with(model, test)
     actual = test.target
-    order = np.lexsort((predicted, actual, speed))
-    buf = io.StringIO()
-    buf.write("wind_speed,actual_power,predicted_power\n")
-    for i in order:
-        buf.write(f"{float(speed[i])!r},{float(actual[i])!r},{float(predicted[i])!r}\n")
-    return buf.getvalue()
-
-
-def emit_pred_vs_actual(model, test: DesignMatrix) -> str:
-    """CSV of (actual_power, predicted_power) pairs in test-set order."""
-    predicted = predict_with(model, test)
-    buf = io.StringIO()
-    buf.write("actual_power,predicted_power\n")
-    for a, p in zip(test.target, predicted):
-        buf.write(f"{float(a)!r},{float(p)!r}\n")
-    return buf.getvalue()
+    points = np.column_stack([speed, actual, predicted])[np.lexsort((predicted, actual, speed))]
+    curve = _csv_text(("wind_speed", "actual_power", "predicted_power"), points.tolist())
+    scatter = _csv_text(("actual_power", "predicted_power"), zip(actual.tolist(), predicted.tolist()))
+    return curve, scatter

@@ -71,6 +71,10 @@ class PolynomialModel:
         object.__setattr__(self, "terms", tuple(tuple(int(e) for e in t) for t in self.terms))
         object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
         object.__setattr__(self, "feature_names", tuple(self.feature_names))
+        if self.degree not in range(MIN_DEGREE, MAX_DEGREE + 1):
+            raise FeatureMismatch(f"degree {self.degree!r} is not an integer in [{MIN_DEGREE}, {MAX_DEGREE}]")
+        if any(len(t) != len(self.feature_names) or min(t, default=0) < 0 for t in self.terms):
+            raise FeatureMismatch("each term needs one non-negative exponent per feature")
         if len(self.terms) != len(set(self.terms)):
             raise FeatureMismatch("duplicate terms")
         if len(self.terms) != len(self.coefficients):

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, _readonly
+from .dataset import Dataset, _csv_text, _readonly
 from .errors import BetzViolation, ConstantInput, LengthMismatch
 
 BETZ_LIMIT = 0.59
@@ -74,12 +73,9 @@ def correlation_matrix(d: Dataset) -> CorrelationMatrix:
 
 def heatmap_csv(cm: CorrelationMatrix) -> str:
     """Plot-data for heatmap rendering: (row_label, col_label, r) triples."""
-    buf = io.StringIO()
-    buf.write("row_label,col_label,r\n")
-    for i, row in enumerate(cm.labels):
-        for j, col in enumerate(cm.labels):
-            buf.write(f"{row},{col},{float(cm.values[i, j])!r}\n")
-    return buf.getvalue()
+    labels = cm.labels
+    triples = ((row, col, r) for row, rs in zip(labels, cm.values.tolist()) for col, r in zip(labels, rs))
+    return _csv_text(("row_label", "col_label", "r"), triples)
 
 
 def physical_power(v, rho: float, cp: float, area: float):

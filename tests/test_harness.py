@@ -23,11 +23,10 @@ from windforecast.dataset import (
 from windforecast.errors import FeatureMismatch, InvalidConfig, SeriesTooShort
 from windforecast.harness import (
     SweepConfig,
-    emit_power_curve_points,
-    emit_pred_vs_actual,
     fit_model,
     from_json,
     persistence_forecast,
+    plot_data,
     predict_with,
     run_sweep,
     sweep_csv,
@@ -319,13 +318,13 @@ def test_sweep_json_schema(tiny_sweep):
     assert doc["rows"][0]["model"] == "persistence"
 
 
-# -- plot-data emitters -------------------------------------------------------
+# -- plot data -----------------------------------------------------------------
 
 def test_power_curve_points_rows_and_sorting():
     x = np.array([7.0, 3.0, 5.0])
     test_m = DesignMatrix(rows=x[:, None], target=2.0 + x, feature_names=("wind_speed",))
     model = regression.LinearModel(intercept=2.0, coefficients=(1.0,), feature_names=("wind_speed",))
-    lines = emit_power_curve_points(model, test_m).strip().split("\n")
+    lines = plot_data(model, test_m)[0].strip().split("\n")
     assert lines[0] == "wind_speed,actual_power,predicted_power"
     assert len(lines) == 4
     speeds = [float(line.split(",")[0]) for line in lines[1:]]
@@ -337,7 +336,7 @@ def test_power_curve_linear_prediction_is_affine_in_speed(synthetic_5k):
     train_m = select_features(train_ds, FeatureSet.SPEED_ONLY)
     test_m = select_features(test_ds, FeatureSet.SPEED_ONLY)
     model = regression.fit_ols(train_m)
-    lines = emit_power_curve_points(model, test_m).strip().split("\n")[1:]
+    lines = plot_data(model, test_m)[0].strip().split("\n")[1:]
     for line in lines[:50]:
         speed, _, predicted = (float(v) for v in line.split(","))
         assert predicted == pytest.approx(model.intercept + model.coefficients[0] * speed, rel=1e-12)
@@ -347,14 +346,14 @@ def test_power_curve_requires_speed_column():
     m = DesignMatrix(rows=np.ones((3, 1)), target=np.ones(3), feature_names=("temperature",))
     model = regression.LinearModel(intercept=0.0, coefficients=(1.0,), feature_names=("temperature",))
     with pytest.raises(FeatureMismatch):
-        emit_power_curve_points(model, m)
+        plot_data(model, m)
 
 
 def test_pred_vs_actual_perfect_model_sits_on_identity():
     x = np.linspace(0.0, 10.0, 9)
     test_m = DesignMatrix(rows=x[:, None], target=3.0 + 2.0 * x, feature_names=("wind_speed",))
     model = regression.LinearModel(intercept=3.0, coefficients=(2.0,), feature_names=("wind_speed",))
-    lines = emit_pred_vs_actual(model, test_m).strip().split("\n")
+    lines = plot_data(model, test_m)[1].strip().split("\n")
     assert lines[0] == "actual_power,predicted_power"
     assert len(lines) == 1 + 9
     gaps = [abs(float(a) - float(p)) for a, p in (line.split(",") for line in lines[1:])]

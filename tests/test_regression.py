@@ -19,6 +19,7 @@ from windforecast.harness import from_json, to_json
 from windforecast.metrics import r_squared
 from windforecast.regression import (
     LinearModel,
+    PolynomialModel,
     expand_polynomial,
     fit_ols,
     fit_polynomial,
@@ -307,6 +308,24 @@ def _mlp_document(target_scale, **fields):
     return json.dumps({**doc, "target_scale": target_scale, **fields})
 
 
+def _polynomial_document(**fields):
+    """A valid degree-2 document over features (a, b) except for ``fields``."""
+    doc = {
+        "schema": "windforecast.model.polynomial.v1",
+        "degree": 2,
+        "terms": [[0, 0], [1, 0], [0, 1]],
+        "coefficients": [1.0, 2.0, 3.0],
+        "feature_names": ["a", "b"],
+        "condition_estimate": 10.0,
+    }
+    return json.dumps({**doc, **fields})
+
+
+def test_polynomial_document_template_loads():
+    model = from_json(_polynomial_document())
+    assert isinstance(model, PolynomialModel) and model.terms == ((0, 0), (1, 0), (0, 1))
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -331,6 +350,11 @@ def _mlp_document(target_scale, **fields):
         _mlp_document(1.0, input_scaler={"mins": [0.0], "maxs": [float("inf")]}),
         _mlp_document(1.0, input_scaler={"mins": [[0.0]], "maxs": [[25.0]]}),
         _mlp_document(1.0, input_scaler={"mins": [0.0, 0.0], "maxs": [25.0, 360.0]}),
+        _polynomial_document(terms=[[0], [1]], coefficients=[1.0, 2.0]),
+        _polynomial_document(terms=[[0, 0, 0], [1, 0, 1]], coefficients=[1.0, 2.0]),
+        _polynomial_document(terms=[[0, 0], [-1, 0]], coefficients=[1.0, 2.0]),
+        _polynomial_document(degree=6),
+        _polynomial_document(degree=2.5),
     ],
 )
 def test_malformed_model_document_raises_data_error(text):
