@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Commands: gen, correlate, fit, sweep, plot-data, gradcheck.
+Commands: gen, correlate, fit, sweep, plot-data, gradcheck, reproduce.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 """
 
@@ -8,12 +8,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
+import warnings
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
 import numpy as np
 
-from . import ann, harness, stats
+from . import ann, errors, harness, stats
 from .dataset import (
     Dataset,
     FeatureSet,
@@ -25,13 +27,18 @@ from .dataset import (
     split,
     write_csv,
 )
-from .errors import DataError, InvalidConfig, NumericError
+from .errors import ConditionWarning, DataError, InvalidConfig, NumericError
 from .metrics import EvalReport
 
 GRADCHECK_TOLERANCE = 1e-4
 
 # SyntheticConfig field -> the type of its default, for gen's flags and config file
 _SYNTHETIC_TYPES = {f.name: type(f.default) for f in dataclass_fields(SyntheticConfig)}
+
+# reproduce plots these sweep rows at 0.85 with all three features: plot-file prefix -> (model, degree)
+_FEATURED_FRACTION = 0.85
+_FEATURED_FEATURES = FeatureSet.SPEED_DIRECTION_TEMPERATURE
+_FEATURED_ROWS = {"linear": ("linear", None), "polynomial_deg5": ("polynomial", 5), "ann": ("ann", None)}
 
 
 class _UsageError(Exception):
@@ -126,11 +133,14 @@ def _cmd_correlate(args) -> int:
     for i, label in enumerate(cm.labels):
         cells = "  ".join(f"{cm.values[i, j]:14.6f}" for j in range(len(cm.labels)))
         print(f"{label:>{width}s} {cells}")
-    out = _out_dir(args)
-    heatmap_path = out / "correlation_heatmap.csv"
-    heatmap_path.write_text(stats.heatmap_csv(cm))
-    print(f"wrote {heatmap_path}")
+    print(f"wrote {_write_heatmap(_out_dir(args), cm)}")
     return 0
+
+
+def _write_heatmap(out: Path, cm: stats.CorrelationMatrix) -> Path:
+    path = out / "correlation_heatmap.csv"
+    path.write_text(stats.heatmap_csv(cm))
+    return path
 
 
 def _fit_settings(args) -> tuple[FeatureSet, SplitSpec, ann.TrainConfig]:
@@ -203,31 +213,34 @@ def _cmd_sweep(args) -> int:
         persistence_horizons=args.horizons,
     )
     rows = harness.run_sweep(dataset, cfg)
-    out = _out_dir(args)
-    csv_path = out / "sweep.csv"
-    json_path = out / "sweep.json"
-    csv_path.write_text(harness.sweep_csv(rows))
-    json_path.write_text(harness.sweep_json(rows, cfg))
-    failed = sum(1 for r in rows if r.error is not None)
-    print(f"{len(rows)} configurations ({failed} failed)")
+    csv_path, json_path = _write_sweep(_out_dir(args), rows, cfg)
+    print(f"{len(rows)} configurations ({sum(r.error is not None for r in rows)} failed)")
     print(f"wrote {csv_path}")
     print(f"wrote {json_path}")
     return 0
+
+
+def _write_sweep(out: Path, rows, cfg: harness.SweepConfig) -> tuple[Path, Path]:
+    paths = out / "sweep.csv", out / "sweep.json"
+    for path, text in zip(paths, (harness.sweep_csv(rows), harness.sweep_json(rows, cfg))):
+        path.write_text(text)
+    return paths
 
 
 def _cmd_plot_data(args) -> int:
     _require_degree("plot-data", args)
     dataset = _load_dataset(args)
     model, _, test_m = _split_and_fit(dataset, args)
-    out = _out_dir(args)
-    curve_path = out / f"{args.model}_power_curve.csv"
-    scatter_path = out / f"{args.model}_pred_vs_actual.csv"
-    curve, scatter = harness.plot_data(model, test_m)
-    curve_path.write_text(curve)
-    scatter_path.write_text(scatter)
-    print(f"wrote {curve_path}")
-    print(f"wrote {scatter_path}")
+    for path in _write_plot_data(_out_dir(args), args.model, model, test_m):
+        print(f"wrote {path}")
     return 0
+
+
+def _write_plot_data(out: Path, prefix: str, model, test_m) -> tuple[Path, Path]:
+    paths = out / f"{prefix}_power_curve.csv", out / f"{prefix}_pred_vs_actual.csv"
+    for path, text in zip(paths, harness.plot_data(model, test_m)):
+        path.write_text(text)
+    return paths
 
 
 def _cmd_gradcheck(args) -> int:
@@ -259,6 +272,65 @@ def _cmd_gradcheck(args) -> int:
         print(f"FAIL: worst error {worst:.3e} >= {GRADCHECK_TOLERANCE:.0e}", file=sys.stderr)
         return 3
     print(f"OK: worst error {worst:.3e} < {GRADCHECK_TOLERANCE:.0e}")
+    return 0
+
+
+def _featured_row(rows, model: str, degree: int | None) -> harness.SweepRow:
+    """The sweep row ``reproduce`` plots for ``model``; a failed row raises its error's kind."""
+    key = (model, _FEATURED_FEATURES, _FEATURED_FRACTION, degree)
+    row = next(r for r in rows if (r.model, r.feature_set, r.train_fraction, r.degree) == key)
+    if row.error is not None:
+        # the row keeps its error as "ClassName: message"
+        kind = getattr(errors, row.error.partition(":")[0], None)
+        data = isinstance(kind, type) and issubclass(kind, DataError)
+        where = f"{model} {_FEATURED_FEATURES.tag} {_FEATURED_FRACTION} degree={degree}"
+        raise (DataError if data else NumericError)(f"sweep row {where} failed: {row.error}")
+    return row
+
+
+def _cmd_reproduce(args) -> int:
+    # every setting is checked before the first file is written
+    synthetic = SyntheticConfig(n_samples=args.n_samples, seed=args.seed)
+    grid = dict(train_fractions=(_FEATURED_FRACTION, 0.70), degrees=(2, 5)) if args.quick else {}
+    ann_train = ann.TrainConfig(epochs=min(args.epochs, 3) if args.quick else args.epochs, seed=args.seed)
+    cfg = harness.SweepConfig(seed=args.seed, ann_train=ann_train, **grid)
+
+    t0 = time.time()
+    dataset = generate_synthetic(synthetic)
+    out = _out_dir(args)
+    data_path = out / "synthetic.csv"
+    data_path.write_text(write_csv(dataset))
+    print(f"dataset: {len(dataset)} rows -> {data_path}")
+    cm = stats.correlation_matrix(dataset)
+    _write_heatmap(out, cm)
+    print(f"corr(speed, power) = {cm.lookup('wind_speed', 'power'):.6f}")
+
+    with warnings.catch_warnings():
+        # degree-5 direction monomials warn on every fit; each model records its estimate
+        warnings.simplefilter("ignore", ConditionWarning)
+        rows = harness.run_sweep(dataset, cfg)
+    csv_path, _ = _write_sweep(out, rows, cfg)
+    failed = sum(r.error is not None for r in rows)
+    print(f"sweep: {len(rows)} configurations ({failed} failed) -> {csv_path}")
+    for model in cfg.models:
+        scored = [r for r in rows if r.model == model and r.report is not None]
+        if scored:
+            best = max(scored, key=lambda r: r.report.r_squared)
+            label = f"fs={best.feature_set.tag}" if best.feature_set else f"h={best.horizon}"
+            extra = f" deg={best.degree}" if best.degree else ""
+            print(
+                f"  best {model:<12s} R^2={best.report.r_squared:.5f} "
+                f"mae={best.report.mae:8.3f} rmse={best.report.rmse:8.3f} ({label}{extra})"
+            )
+
+    featured = {name: _featured_row(rows, *key) for name, key in _FEATURED_ROWS.items()}
+    _, test_ds = split(dataset, SplitSpec(train_fraction=_FEATURED_FRACTION, seed=args.seed))
+    test_m = select_features(test_ds, _FEATURED_FEATURES)
+    (out / "ann_loss_history.csv").write_text(ann.history_to_csv(featured["ann"].history))
+    for name, row in featured.items():
+        _write_plot_data(out, name, row.fitted, test_m)
+        print(f"plot data: {name}")
+    print(f"done in {time.time() - t0:.0f}s")
     return 0
 
 
@@ -329,6 +401,14 @@ def build_parser() -> argparse.ArgumentParser:
     gradcheck = sub.add_parser("gradcheck", help="verify the backward pass numerically")
     gradcheck.add_argument("--seed", type=int, default=0)
     gradcheck.set_defaults(func=_cmd_gradcheck)
+
+    reproduce = sub.add_parser("reproduce", help="synthetic plant -> sweep tables and plot data")
+    reproduce.add_argument("--out-dir", dest="out_dir", default="results")
+    reproduce.add_argument("--n-samples", dest="n_samples", type=int, default=SyntheticConfig.n_samples)
+    reproduce.add_argument("--seed", type=int, default=42)
+    reproduce.add_argument("--epochs", type=int, default=20)
+    reproduce.add_argument("--quick", action="store_true", help="fractions 0.85/0.70, degrees 2/5, <= 3 epochs")
+    reproduce.set_defaults(func=_cmd_reproduce)
 
     return parser
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import asdict, dataclass, fields, is_dataclass
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -93,6 +93,9 @@ class SweepRow:
     report: EvalReport | None
     out_of_bounds_fraction: float | None
     error: str | None = None
+    # the fitted model and an ANN's TrainHistory, None where absent; no report writes them
+    fitted: object = field(default=None, compare=False, repr=False)
+    history: ann.TrainHistory | None = field(default=None, compare=False, repr=False)
 
 
 def persistence_forecast(d: Dataset, horizon_steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -134,10 +137,10 @@ def fit_model(
 ):
     """Fit one trainable model by name; returns ``(model, history)``.
 
-    The one place a model name picks a fit; only ``run_sweep`` trains its
-    ANN rows apart, in stacks (``_fit_ann_stack``). The ANN starts from
-    ``init_network(seed=ann_train.seed)``; ``history`` is its
-    ``TrainHistory`` and None for the regressions.
+    The one place a model name picks a fit; ``run_sweep`` trains its ANN rows
+    apart, in stacks (``_fit_ann_stack``), and keeps every model on its rows.
+    The ANN starts from ``init_network(seed=ann_train.seed)``; ``history`` is
+    its ``TrainHistory`` and None for the regressions.
     """
     if name == "linear":
         return regression.fit_ols(train), None
@@ -150,7 +153,7 @@ def fit_model(
 
 
 def _fit_ann_stack(trains: dict, ann_train: ann.TrainConfig, target_scale: float | None) -> dict:
-    """The trained MLP for each key of ``trains``, or the exception that failed its fit.
+    """The ``(model, history)`` pair for each key of ``trains``, or the exception that failed its fit.
 
     The matrices share a row count, so their networks train as one stack
     (``ann.train_stack``), each from ``init_network(seed=ann_train.seed)`` as
@@ -169,7 +172,7 @@ def _fit_ann_stack(trains: dict, ann_train: ann.TrainConfig, target_scale: float
             continue
         except Exception as exc:
             return {**fitted, **dict.fromkeys(pending, exc)}
-        fitted.update((key, model) for key, (model, _) in zip(pending, stack))
+        fitted.update(zip(pending, stack))
     return fitted
 
 
@@ -254,6 +257,7 @@ def run_sweep(d: Dataset, cfg: SweepConfig = SweepConfig()) -> list[SweepRow]:
 
     The split for a given fraction uses the sweep seed and is reused across
     models and feature sets; the ANN rows of one fraction train as one stack.
+    Each scored row keeps its fitted model and, for the ANN, its loss history.
     Identical inputs yield an identical row list.
     """
 
@@ -274,20 +278,22 @@ def run_sweep(d: Dataset, cfg: SweepConfig = SweepConfig()) -> list[SweepRow]:
     rows: list[SweepRow] = []
     for fields in _grid(cfg):
         try:
+            model = history = None
             if fields["model"] == "persistence":
                 actual, predicted = persistence_forecast(d, fields["horizon"])
             else:
                 train_m, test_m = matrices(fields["train_fraction"], fields["feature_set"])
                 if fields["model"] == "ann":
-                    model = networks(fields["train_fraction"])[fields["feature_set"]]
-                    if isinstance(model, Exception):
-                        raise model
+                    fit = networks(fields["train_fraction"])[fields["feature_set"]]
+                    if isinstance(fit, Exception):
+                        raise fit
+                    model, history = fit
                 else:
-                    model, _ = fit_model(fields["model"], train_m, degree=fields["degree"])
+                    model, history = fit_model(fields["model"], train_m, degree=fields["degree"])
                 actual, predicted = test_m.target, predict_with(model, test_m)
             oob = float(np.mean((predicted < 0) | (predicted > d.rated_power)))
             report = EvalReport.from_predictions(actual, predicted)
-            rows.append(SweepRow(**fields, report=report, out_of_bounds_fraction=oob))
+            rows.append(SweepRow(**fields, report=report, out_of_bounds_fraction=oob, fitted=model, history=history))
         except Exception as exc:
             error = f"{type(exc).__name__}: {exc}"
             rows.append(SweepRow(**fields, report=None, out_of_bounds_fraction=None, error=error))

@@ -11,6 +11,7 @@ across releases; serialized models store their exponent tuples explicitly.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
@@ -68,11 +69,17 @@ class PolynomialModel:
     condition_estimate: float
 
     def __post_init__(self):
+        # a float, string or bool exponent is refused, not truncated to an int
+        if any(isinstance(e, bool) or not isinstance(e, (int, np.integer)) for t in self.terms for e in t):
+            raise FeatureMismatch("each exponent must be an integer")
         object.__setattr__(self, "terms", tuple(tuple(int(e) for e in t) for t in self.terms))
         object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
         object.__setattr__(self, "feature_names", tuple(self.feature_names))
-        if self.degree not in range(MIN_DEGREE, MAX_DEGREE + 1):
+        if operator.index(self.degree) not in range(MIN_DEGREE, MAX_DEGREE + 1):
             raise FeatureMismatch(f"degree {self.degree!r} is not an integer in [{MIN_DEGREE}, {MAX_DEGREE}]")
+        cond = self.condition_estimate
+        if isinstance(cond, bool) or not isinstance(cond, (int, float)) or not 1 <= cond < np.inf:
+            raise FeatureMismatch(f"condition estimate {cond!r} is not a finite number >= 1")
         if any(len(t) != len(self.feature_names) or min(t, default=0) < 0 for t in self.terms):
             raise FeatureMismatch("each term needs one non-negative exponent per feature")
         if len(self.terms) != len(set(self.terms)):

@@ -4,9 +4,18 @@ import re
 import pytest
 
 from windforecast import ann
-from windforecast.cli import main
-from windforecast.dataset import FeatureSet, parse_csv
-from windforecast.harness import SweepConfig, run_sweep
+from windforecast.cli import _featured_row, main
+from windforecast.dataset import (
+    FeatureSet,
+    SplitSpec,
+    SyntheticConfig,
+    generate_synthetic,
+    parse_csv,
+    select_features,
+    split,
+)
+from windforecast.errors import DataError, NumericError
+from windforecast.harness import SweepConfig, SweepRow, fit_model, plot_data, run_sweep
 
 
 def run(args):
@@ -289,3 +298,65 @@ def test_plot_data_files(data_csv, tmp_path):
 def test_gradcheck_passes(capsys):
     assert run(["gradcheck", "--seed", 3]) == 0
     assert "OK" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags", [["--seed", -1], ["--n-samples", 0], ["--quick", "--epochs", 0]])
+def test_reproduce_bad_setting_exits_2_before_writing(tmp_path, capsys, flags):
+    out = tmp_path / "out"
+    assert run(["reproduce", "--out-dir", out, *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("data error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_reproduce_failed_featured_row_exits_with_its_error(tmp_path, capsys):
+    # 51 training rows cannot fit the 56 coefficients of the degree-5 polynomial
+    out = tmp_path / "out"
+    assert run(["reproduce", "--quick", "--n-samples", 60, "--out-dir", out]) == 2
+    assert capsys.readouterr().err == (
+        "data error: sweep row polynomial speed_direction_temperature 0.85 degree=5 failed: "
+        "TooFewRows: need more than 55 rows, got 51\n"
+    )
+    assert not list(out.glob("*_power_curve.csv"))
+
+
+@pytest.mark.parametrize(
+    "error, kind",
+    [
+        ("TooFewRows: need more than 55 rows, got 51", DataError),
+        ("NonFiniteLoss: loss became non-finite at epoch 2", NumericError),
+        ("LinAlgError: Singular matrix", NumericError),
+    ],
+)
+def test_reproduce_failed_featured_row_keeps_its_error_kind(error, kind):
+    row = SweepRow(
+        model="ann", feature_set=FeatureSet.SPEED_DIRECTION_TEMPERATURE, train_fraction=0.85,
+        degree=None, horizon=None, report=None, out_of_bounds_fraction=None, error=error,
+    )
+    message = f"sweep row ann speed_direction_temperature 0.85 degree=None failed: {error}"
+    with pytest.raises(kind) as exc:
+        _featured_row([row], "ann", None)
+    assert type(exc.value) is kind and str(exc.value) == message
+
+
+@pytest.mark.filterwarnings("ignore::windforecast.errors.ConditionWarning")
+def test_reproduce_plots_the_sweep_models(tmp_path):
+    """The plot data equals a direct refit of each model at 0.85 with all three features."""
+    out = tmp_path / "out"
+    assert run(["reproduce", "--quick", "--n-samples", 2000, "--epochs", 5, "--out-dir", out]) == 0
+
+    dataset = generate_synthetic(SyntheticConfig(n_samples=2000, seed=42))
+    train_ds, test_ds = split(dataset, SplitSpec(train_fraction=0.85, seed=42))
+    fs = FeatureSet.SPEED_DIRECTION_TEMPERATURE
+    train_m, test_m = select_features(train_ds, fs), select_features(test_ds, fs)
+    # --quick caps the ANN at 3 epochs
+    ann_train = ann.TrainConfig(epochs=3, seed=42)
+    for name, model_name in (("linear", "linear"), ("polynomial_deg5", "polynomial"), ("ann", "ann")):
+        model, history = fit_model(
+            model_name, train_m, degree=5, ann_train=ann_train, target_scale=dataset.rated_power
+        )
+        curve, scatter = plot_data(model, test_m)
+        assert (out / f"{name}_power_curve.csv").read_text() == curve
+        assert (out / f"{name}_pred_vs_actual.csv").read_text() == scatter
+    assert (out / "ann_loss_history.csv").read_text() == ann.history_to_csv(history)

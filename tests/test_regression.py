@@ -355,6 +355,16 @@ def test_polynomial_document_template_loads():
         _polynomial_document(terms=[[0, 0], [-1, 0]], coefficients=[1.0, 2.0]),
         _polynomial_document(degree=6),
         _polynomial_document(degree=2.5),
+        _polynomial_document(degree=2.0),
+        _polynomial_document(terms=[[0, 0], [1.9, 0], [0, 1]]),
+        _polynomial_document(terms=[[0, 0], ["1", 0], [0, 1]]),
+        _polynomial_document(terms=[[0, 0], [True, 0], [0, 1]]),
+        _polynomial_document(condition_estimate="x"),
+        _polynomial_document(condition_estimate=float("nan")),
+        _polynomial_document(condition_estimate=float("inf")),
+        _polynomial_document(condition_estimate=-3.0),
+        _polynomial_document(condition_estimate=0.5),
+        _polynomial_document(condition_estimate=True),
     ],
 )
 def test_malformed_model_document_raises_data_error(text):
