@@ -137,8 +137,9 @@ def fit_model(
 ):
     """Fit one trainable model by name; returns ``(model, history)``.
 
-    The one place a model name picks a fit; ``run_sweep`` trains its ANN rows
-    apart, in stacks (``_fit_ann_stack``), and keeps every model on its rows.
+    The one place a model name picks a fit; ``run_sweep`` fits its polynomial
+    rows from shared factors and trains its ANN rows in stacks
+    (``_fit_ann_stack``), and keeps every model on its rows.
     The ANN starts from ``init_network(seed=ann_train.seed)``; ``history`` is
     its ``TrainHistory`` and None for the regressions.
     """
@@ -256,7 +257,8 @@ def run_sweep(d: Dataset, cfg: SweepConfig = SweepConfig()) -> list[SweepRow]:
     """Evaluate every configuration of the grid on held-out test data.
 
     The split for a given fraction uses the sweep seed and is reused across
-    models and feature sets; the ANN rows of one fraction train as one stack.
+    models and feature sets. The polynomial rows of one (fraction, feature set)
+    read one R factor, and the ANN rows of one fraction train as one stack.
     Each scored row keeps its fitted model and, for the ANN, its loss history.
     Identical inputs yield an identical row list.
     """
@@ -269,6 +271,10 @@ def run_sweep(d: Dataset, cfg: SweepConfig = SweepConfig()) -> list[SweepRow]:
     def matrices(fraction: float, fs: FeatureSet) -> tuple[DesignMatrix, DesignMatrix]:
         train_ds, test_ds = splits(fraction)
         return select_features(train_ds, fs), select_features(test_ds, fs)
+
+    @functools.cache
+    def factors(fraction: float, fs: FeatureSet) -> regression.LeastSquaresFactor:
+        return regression.factor_design(matrices(fraction, fs)[0])
 
     @functools.cache
     def networks(fraction: float) -> dict:
@@ -288,6 +294,9 @@ def run_sweep(d: Dataset, cfg: SweepConfig = SweepConfig()) -> list[SweepRow]:
                     if isinstance(fit, Exception):
                         raise fit
                     model, history = fit
+                elif fields["model"] == "polynomial":
+                    factor = factors(fields["train_fraction"], fields["feature_set"])
+                    model = regression.fit_polynomial(train_m, fields["degree"], factor=factor)
                 else:
                     model, history = fit_model(fields["model"], train_m, degree=fields["degree"])
                 actual, predicted = test_m.target, predict_with(model, test_m)

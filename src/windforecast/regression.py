@@ -7,6 +7,13 @@ degree 1..d in graded lexicographic order: ascending total degree, and within
 one degree descending lexicographic exponent tuples. For features (x1, x2)
 and degree 2 the columns are x1, x2, x1^2, x1*x2, x2^2. This order is stable
 across releases; serialized models store their exponent tuples explicitly.
+
+Nested prefixes: under this order every degree's intercept-augmented design
+is a column prefix of the ``MAX_DEGREE`` design. Householder QR factors columns
+left to right, so one R factor of the equilibrated ``[1 | expand(m, MAX_DEGREE)
+| y]`` answers every degree: p columns read R's leading p x p block and the
+first p entries of its last column (Q^T y). A degree therefore fits to the
+same bits alone or in a sweep; ``fit_ols`` factors its own ``[1 | x | y]``.
 """
 
 from __future__ import annotations
@@ -36,6 +43,19 @@ CONDITION_LIMIT = 1e10
 _RANK_TOL = 1e-10
 
 
+def _numbers(values) -> tuple[float, ...]:
+    """``values`` as floats; a bool or a string is refused, not read as a number."""
+    if any(isinstance(v, (bool, np.bool_, str)) for v in values):
+        raise FeatureMismatch("model parameters must be numbers")
+    return tuple(float(v) for v in values)
+
+
+def _names(values) -> tuple[str, ...]:
+    if not all(isinstance(name, str) for name in values):
+        raise FeatureMismatch("feature names must be strings")
+    return tuple(values)
+
+
 @dataclass(frozen=True)
 class LinearModel:
     """OLS fit: intercept plus one coefficient per feature, in kW units."""
@@ -45,8 +65,10 @@ class LinearModel:
     feature_names: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
-        object.__setattr__(self, "feature_names", tuple(self.feature_names))
+        intercept, *coefficients = _numbers((self.intercept, *self.coefficients))
+        object.__setattr__(self, "intercept", intercept)
+        object.__setattr__(self, "coefficients", tuple(coefficients))
+        object.__setattr__(self, "feature_names", _names(self.feature_names))
         if len(self.coefficients) != len(self.feature_names):
             raise FeatureMismatch("coefficient count does not match feature names")
         if not np.all(np.isfinite([self.intercept, *self.coefficients])):
@@ -73,8 +95,8 @@ class PolynomialModel:
         if any(isinstance(e, bool) or not isinstance(e, (int, np.integer)) for t in self.terms for e in t):
             raise FeatureMismatch("each exponent must be an integer")
         object.__setattr__(self, "terms", tuple(tuple(int(e) for e in t) for t in self.terms))
-        object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
-        object.__setattr__(self, "feature_names", tuple(self.feature_names))
+        object.__setattr__(self, "coefficients", _numbers(self.coefficients))
+        object.__setattr__(self, "feature_names", _names(self.feature_names))
         if operator.index(self.degree) not in range(MIN_DEGREE, MAX_DEGREE + 1):
             raise FeatureMismatch(f"degree {self.degree!r} is not an integer in [{MIN_DEGREE}, {MAX_DEGREE}]")
         cond = self.condition_estimate
@@ -129,51 +151,71 @@ def _times_monomial(rows: np.ndarray, exponents: tuple[int, ...], start: np.ndar
     return col
 
 
+def _polynomial_terms(k: int, degree: int) -> list[tuple[int, ...]]:
+    if not MIN_DEGREE <= degree <= MAX_DEGREE:
+        raise DegreeOutOfRange(f"degree must lie in [{MIN_DEGREE}, {MAX_DEGREE}], got {degree}")
+    return monomial_exponents(k, degree)
+
+
+def _design(m: DesignMatrix, terms: list[tuple[int, ...]]) -> np.ndarray:
+    """Columns 1, the monomials ``terms`` of ``m`` and its target, in one Fortran-ordered buffer."""
+    a = np.empty((m.n, len(terms) + 2), order="F")
+    ones = np.ones(m.n)
+    for j, e in enumerate([(0,) * m.k, *terms]):
+        a[:, j] = _times_monomial(m.rows, e, ones)
+    a[:, -1] = m.target
+    return a
+
+
 def expand_polynomial(m: DesignMatrix, degree: int) -> DesignMatrix:
     """All monomials of the base features up to ``degree``, cross terms included.
 
     Column count is C(k + degree, degree) - 1; the target passes through.
     """
-    if not MIN_DEGREE <= degree <= MAX_DEGREE:
-        raise DegreeOutOfRange(f"degree must lie in [{MIN_DEGREE}, {MAX_DEGREE}], got {degree}")
-    exponents = monomial_exponents(m.k, degree)
-    cols = np.empty((m.n, len(exponents)))
-    for j, e in enumerate(exponents):
-        cols[:, j] = _times_monomial(m.rows, e, np.ones(m.n))
+    exponents = _polynomial_terms(m.k, degree)
     names = tuple(_term_name(e, m.feature_names) for e in exponents)
-    return DesignMatrix(rows=cols, target=m.target, feature_names=names)
+    return DesignMatrix(rows=_design(m, exponents)[:, 1:-1], target=m.target, feature_names=names)
 
 
-def _qr_lstsq(a: np.ndarray, y: np.ndarray, column_names: tuple[str, ...]) -> tuple[np.ndarray, float]:
-    """Least squares via Householder QR of the column-equilibrated matrix.
+@dataclass(frozen=True)
+class LeastSquaresFactor:
+    """R of ``[1 | columns | y]`` after each of the first columns is divided by its norm;
+    ``norms`` (0 marks a zero column) and ``names`` describe ``[1 | columns]``, the
+    monomials up to ``degree`` of an n-row matrix over ``feature_names``."""
 
-    Equilibration (dividing each column by its norm) is an exact
-    reparameterization of the same column space; it keeps the factorization
-    well scaled when monomial columns span many orders of magnitude. Returns
-    the coefficients in original scaling and the condition estimate of the
-    unequilibrated matrix.
-    """
-    n, p = a.shape
-    if n <= p - 1:  # p includes the intercept column
-        raise TooFewRows(f"need more than {p - 1} rows, got {n}")
-    norms = np.linalg.norm(a, axis=0)
-    zero = norms == 0
-    safe_norms = np.where(zero, 1.0, norms)
-    q, r = np.linalg.qr(a / safe_norms, mode="reduced")
-    diag = np.abs(np.diag(r))
-    threshold = _RANK_TOL * max(diag.max(), 1.0)
-    dependent = [column_names[j] for j in range(p) if zero[j] or diag[j] <= threshold]
-    if dependent:
-        raise RankDeficient(dependent)
-    beta = solve_triangular(r, q.T @ y) / safe_norms
-    # singular values of the raw matrix equal those of R * diag(norms)
-    cond = float(np.linalg.cond(r * safe_norms[np.newaxis, :]))
-    return beta, cond
+    r: np.ndarray
+    norms: np.ndarray
+    names: tuple[str, ...]
+    degree: int
+    feature_names: tuple[str, ...]
+    n: int
+
+    def solve(self, p: int) -> tuple[np.ndarray, float]:
+        """Coefficients (original scaling) and condition estimate of the first p raw columns."""
+        if self.n <= p - 1:  # p includes the intercept column
+            raise TooFewRows(f"need more than {p - 1} rows, got {self.n}")
+        r, norms = self.r[:p, :p], self.norms[:p]
+        diag = np.abs(np.diag(r))
+        threshold = _RANK_TOL * max(diag.max(), 1.0)
+        dependent = [self.names[j] for j in range(p) if norms[j] == 0 or diag[j] <= threshold]
+        if dependent:
+            raise RankDeficient(dependent)
+        beta = solve_triangular(r, self.r[:p, -1]) / norms
+        # singular values of the raw matrix equal those of R * diag(norms)
+        return beta, float(np.linalg.cond(r * norms[np.newaxis, :]))
 
 
-def _augmented(m: DesignMatrix) -> tuple[np.ndarray, tuple[str, ...]]:
-    a = np.column_stack([np.ones(m.n), m.rows])
-    return a, ("intercept", *m.feature_names)
+def factor_design(m: DesignMatrix, degree: int = MAX_DEGREE) -> LeastSquaresFactor:
+    """The factor of ``m``'s monomials up to ``degree``: 1 is the linear design,
+    and every ``fit_polynomial`` of ``m`` reads the ``MAX_DEGREE`` factor."""
+    terms = monomial_exponents(m.k, degree)
+    a = _design(m, terms)
+    # equilibration is an exact reparameterization of the same column space; it keeps
+    # the factorization well scaled when monomial columns span many orders of magnitude
+    norms = np.linalg.norm(a[:, :-1], axis=0)
+    a[:, :-1] /= np.where(norms == 0, 1.0, norms)
+    names = ("intercept", *(_term_name(e, m.feature_names) for e in terms))
+    return LeastSquaresFactor(np.linalg.qr(a, mode="r"), norms, names, degree, m.feature_names, m.n)
 
 
 def fit_ols(m: DesignMatrix) -> LinearModel:
@@ -182,13 +224,8 @@ def fit_ols(m: DesignMatrix) -> LinearModel:
     Solved by orthogonal factorization, never by inverting the normal
     equations; rank deficiency is reported with the dependent column names.
     """
-    a, names = _augmented(m)
-    beta, _ = _qr_lstsq(a, m.target, names)
-    return LinearModel(
-        intercept=float(beta[0]),
-        coefficients=tuple(beta[1:]),
-        feature_names=m.feature_names,
-    )
+    beta, _ = factor_design(m, 1).solve(m.k + 1)
+    return LinearModel(intercept=beta[0], coefficients=tuple(beta[1:]), feature_names=m.feature_names)
 
 
 def predict_linear(model: LinearModel, m: DesignMatrix) -> np.ndarray:
@@ -200,31 +237,24 @@ def predict_linear(model: LinearModel, m: DesignMatrix) -> np.ndarray:
     return model.intercept + m.rows @ np.asarray(model.coefficients)
 
 
-def fit_polynomial(m: DesignMatrix, degree: int) -> PolynomialModel:
-    """Equivalent to fit_ols after expand_polynomial.
+def fit_polynomial(m: DesignMatrix, degree: int, *, factor: LeastSquaresFactor | None = None) -> PolynomialModel:
+    """Equivalent to fit_ols after expand_polynomial, read from ``factor_design(m)``.
 
-    Ill-conditioning is not a failure: the condition estimate is stored on
-    the model and a ConditionWarning is emitted when it exceeds 1e10.
+    Pass ``factor`` to share one factorization across degrees; the model is
+    the same bits either way. Ill-conditioning is not a failure: the
+    condition estimate is stored on the model and a ConditionWarning is
+    emitted when it exceeds 1e10.
     """
-    expanded = expand_polynomial(m, degree)
-    a, names = _augmented(expanded)
-    beta, cond = _qr_lstsq(a, expanded.target, names)
+    terms = [(0,) * m.k, *_polynomial_terms(m.k, degree)]
+    if factor is None:
+        factor = factor_design(m)
+    elif (factor.degree, factor.feature_names, factor.n) != (MAX_DEGREE, m.feature_names, m.n):
+        raise FeatureMismatch(f"factor is of degree {factor.degree} on {factor.n} rows of {factor.feature_names}")
+    beta, cond = factor.solve(len(terms))
     if cond > CONDITION_LIMIT:
-        warnings.warn(
-            "polynomial design matrix condition estimate exceeds 1e10; "
-            "coefficients may be unstable",
-            ConditionWarning,
-            stacklevel=2,
-        )
-    k = m.k
-    terms = [tuple([0] * k)] + monomial_exponents(k, degree)
-    return PolynomialModel(
-        degree=degree,
-        terms=tuple(terms),
-        coefficients=tuple(beta),
-        feature_names=m.feature_names,
-        condition_estimate=cond,
-    )
+        message = "polynomial design matrix condition estimate exceeds 1e10; coefficients may be unstable"
+        warnings.warn(message, ConditionWarning, stacklevel=2)
+    return PolynomialModel(degree, tuple(terms), tuple(beta), m.feature_names, cond)
 
 
 def predict_polynomial(model: PolynomialModel, m: DesignMatrix) -> np.ndarray:

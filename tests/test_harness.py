@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import warnings
 from dataclasses import fields as dataclass_fields
 from dataclasses import is_dataclass, replace
 from datetime import datetime, timedelta
@@ -20,7 +21,7 @@ from windforecast.dataset import (
     select_features,
     split,
 )
-from windforecast.errors import FeatureMismatch, InvalidConfig, SeriesTooShort
+from windforecast.errors import ConditionWarning, FeatureMismatch, InvalidConfig, SeriesTooShort
 from windforecast.harness import (
     SweepConfig,
     fit_model,
@@ -146,6 +147,50 @@ def test_sweep_single_row_reproducible(tiny_sweep):
     (solo,) = run_sweep(d, solo_cfg)
     assert solo.report == target.report
     assert solo.out_of_bounds_fraction == target.out_of_bounds_fraction
+
+
+def test_sweep_polynomial_rows_equal_fits_alone(tiny_sweep):
+    """Each degree read from the sweep's shared factor is the model fit_polynomial builds alone."""
+    d, cfg, rows = tiny_sweep
+    fs = FeatureSet.SPEED_DIRECTION_TEMPERATURE
+    train_m = select_features(split(d, SplitSpec(train_fraction=0.85, seed=cfg.seed))[0], fs)
+    swept = {
+        r.degree: r.fitted for r in rows if (r.model, r.feature_set, r.train_fraction) == ("polynomial", fs, 0.85)
+    }
+    assert sorted(swept) == [2, 3, 4, 5]
+    factor = regression.factor_design(train_m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConditionWarning)
+        for degree, model in swept.items():
+            for alone in (regression.fit_polynomial(train_m, degree),
+                          regression.fit_polynomial(train_m, degree, factor=factor)):
+                assert alone.terms == model.terms
+                assert alone.coefficients == model.coefficients
+                assert alone.condition_estimate == model.condition_estimate
+
+
+def test_sweep_degree_too_large_for_its_rows_fails_alone():
+    # 45 train rows: degree 4 of three features needs 35 coefficients, degree 5 needs 56
+    d = generate_synthetic(SyntheticConfig(n_samples=60, seed=3))
+    cfg = SweepConfig(train_fractions=(0.75,), feature_sets=(FeatureSet.SPEED_DIRECTION_TEMPERATURE,),
+                      models=("polynomial",))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConditionWarning)
+        rows = run_sweep(d, cfg)
+    assert [(r.degree, r.error) for r in rows] == [
+        (2, None), (3, None), (4, None), (5, "TooFewRows: need more than 55 rows, got 45")]
+    assert all(r.report is not None for r in rows[:3])
+
+
+def test_sweep_warns_once_per_ill_conditioned_polynomial_row(tiny_sweep):
+    d, cfg, _ = tiny_sweep
+    cfg = replace(cfg, models=("polynomial",))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rows = run_sweep(d, cfg)
+    ill = sum(r.fitted.ill_conditioned for r in rows)
+    assert 0 < ill < len(rows)
+    assert sum(issubclass(w.category, ConditionWarning) for w in caught) == ill
 
 
 def test_sweep_records_failures_without_aborting():

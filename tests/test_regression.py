@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from windforecast import ann
-from windforecast.dataset import DesignMatrix
+from windforecast.dataset import DesignMatrix, FeatureSet, SplitSpec, select_features, split
 from windforecast.errors import (
     ConditionWarning,
     DegreeOutOfRange,
@@ -21,6 +21,7 @@ from windforecast.regression import (
     LinearModel,
     PolynomialModel,
     expand_polynomial,
+    factor_design,
     fit_ols,
     fit_polynomial,
     monomial_exponents,
@@ -251,6 +252,33 @@ def test_polynomial_matches_expansion_plus_ols():
     )
 
 
+def test_fits_agree_with_lstsq_on_the_equilibrated_design(synthetic_5k):
+    train_ds, _ = split(synthetic_5k, SplitSpec(train_fraction=0.85, seed=42))
+    for fs in FeatureSet:
+        m = select_features(train_ds, fs)
+        linear = fit_ols(m)
+        fits = [(np.column_stack([np.ones(m.n), m.rows]), [linear.intercept, *linear.coefficients])]
+        for degree in (2, 3):
+            expanded = expand_polynomial(m, degree).rows
+            fits.append((np.column_stack([np.ones(m.n), expanded]), fit_polynomial(m, degree).coefficients))
+        for a, beta in fits:
+            norms = np.linalg.norm(a, axis=0)
+            reference = np.linalg.lstsq(a / norms, m.target, rcond=None)[0] / norms
+            np.testing.assert_allclose(beta, reference, rtol=1e-10, atol=0)
+
+
+def test_fit_polynomial_refuses_a_factor_of_another_matrix():
+    rng = np.random.default_rng(9)
+    m = dm(rng.uniform(0.0, 1.0, (30, 2)), rng.normal(0.0, 1.0, 30))
+    fewer = dm(m.rows[:20], m.target[:20])
+    with pytest.raises(FeatureMismatch):
+        fit_polynomial(m, 2, factor=factor_design(fewer))
+    with pytest.raises(FeatureMismatch):
+        fit_polynomial(m, 2, factor=factor_design(dm(m.rows, m.target, names=("a", "b"))))
+    with pytest.raises(FeatureMismatch):
+        fit_polynomial(m, 2, factor=factor_design(m, 2))
+
+
 def test_condition_warning_on_wild_scales():
     rng = np.random.default_rng(6)
     # direction-like feature spanning hundreds: degree-5 monomials reach 1e12
@@ -365,8 +393,22 @@ def test_polynomial_document_template_loads():
         _polynomial_document(condition_estimate=-3.0),
         _polynomial_document(condition_estimate=0.5),
         _polynomial_document(condition_estimate=True),
+        '{"schema": "windforecast.model.linear.v1", "intercept": true, "coefficients": [1.0], "feature_names": ["x"]}',
+        '{"schema": "windforecast.model.linear.v1", "intercept": "1.0", "coefficients": [1.0], "feature_names": ["x"]}',
+        '{"schema": "windforecast.model.linear.v1", "intercept": NaN, "coefficients": [1.0], "feature_names": ["x"]}',
+        '{"schema": "windforecast.model.linear.v1", "intercept": 1.0, "coefficients": [true], "feature_names": ["x"]}',
+        '{"schema": "windforecast.model.linear.v1", "intercept": 1.0, "coefficients": [1.0], "feature_names": [3]}',
+        _polynomial_document(coefficients=[1.0, True, 3.0]),
+        _polynomial_document(feature_names=["a", 2]),
     ],
 )
 def test_malformed_model_document_raises_data_error(text):
     with pytest.raises(MalformedModel):
         from_json(text)
+
+
+def test_linear_document_integer_parameters_load_as_floats():
+    doc = '{"schema": "windforecast.model.linear.v1", "intercept": 1, "coefficients": [2], "feature_names": ["x"]}'
+    model = from_json(doc)
+    assert type(model.intercept) is float and model.coefficients == (2.0,)
+    assert '"intercept": 1.0' in to_json(model)
