@@ -82,6 +82,11 @@ class TrainConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "optimizer", str(self.optimizer).lower())
+        for name in ("epochs", "batch_size"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise InvalidConfig(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.epochs < 1:
             raise InvalidConfig("epochs must be >= 1")
         if self.batch_size < 1:

@@ -15,9 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import ann, errors, harness, stats
+from . import ann, harness, stats
 from .dataset import (
     Dataset,
+    DesignMatrix,
     FeatureSet,
     SplitSpec,
     SyntheticConfig,
@@ -28,7 +29,6 @@ from .dataset import (
     write_csv,
 )
 from .errors import ConditionWarning, DataError, InvalidConfig, NumericError
-from .metrics import EvalReport
 
 GRADCHECK_TOLERANCE = 1e-4
 
@@ -143,60 +143,54 @@ def _write_heatmap(out: Path, cm: stats.CorrelationMatrix) -> Path:
     return path
 
 
-def _fit_settings(args) -> tuple[FeatureSet, SplitSpec, ann.TrainConfig]:
-    """The feature set, split and ANN training that the model flags name, each checked."""
-    return (
-        FeatureSet.parse(args.features),
-        SplitSpec(train_fraction=args.train_fraction, seed=args.seed),
-        ann.TrainConfig(epochs=args.epochs, seed=args.seed),
-    )
+def _one_row_sweep(command: str, args) -> harness.SweepConfig:
+    """The one-row sweep that fit and plot-data run, every setting checked before data is read.
 
-
-def _split_and_fit(dataset, args):
-    """Fit ``args.model`` on its train split; returns (model, history, test matrix)."""
-    fs, spec, ann_train = _fit_settings(args)
-    train_ds, test_ds = split(dataset, spec)
-    model, history = harness.fit_model(
-        args.model,
-        select_features(train_ds, fs),
-        degree=args.degree,
-        ann_train=ann_train,
-        target_scale=dataset.rated_power,
-    )
-    return model, history, select_features(test_ds, fs)
-
-
-def _require_degree(command: str, args):
+    A degree is an axis of the polynomial only and a horizon of persistence
+    only, so another model neither uses nor checks those flags.
+    """
     if args.model == "polynomial" and args.degree is None:
         raise _UsageError(f"{command}: --degree is required when --model polynomial")
+    return harness.SweepConfig(
+        train_fractions=(args.train_fraction,),
+        feature_sets=(FeatureSet.parse(args.features),),
+        degrees=(args.degree,) if args.model == "polynomial" else (),
+        models=(args.model,),
+        seed=args.seed,
+        ann_train=ann.TrainConfig(epochs=args.epochs, seed=args.seed),
+        persistence_horizons=(args.horizon,) if args.model == "persistence" else (),
+    )
 
 
-def _fit_single(dataset, args):
-    """Fit and score one configured model; returns (model, history, report), None where absent."""
-    if args.model == "persistence":
-        _fit_settings(args)  # persistence uses none of them, but a bad one is still an error
-        actual, predicted = harness.persistence_forecast(dataset, args.horizon)
-        return None, None, EvalReport.from_predictions(actual, predicted)
-    model, history, test_m = _split_and_fit(dataset, args)
-    predicted = harness.predict_with(model, test_m)
-    return model, history, EvalReport.from_predictions(test_m.target, predicted)
+def _sweep_row(dataset: Dataset, cfg: harness.SweepConfig) -> harness.SweepRow:
+    """The one row of ``cfg``'s sweep; a failed row raises its own exception."""
+    (row,) = harness.run_sweep(dataset, cfg)
+    if row.exception is not None:
+        raise row.exception
+    return row
+
+
+def _test_matrix(dataset: Dataset, fraction: float, fs: FeatureSet, seed: int) -> DesignMatrix:
+    """The test rows a sweep with ``seed`` scores at ``fraction``, as a matrix of ``fs``."""
+    _, test_ds = split(dataset, SplitSpec(train_fraction=fraction, seed=seed))
+    return select_features(test_ds, fs)
 
 
 def _cmd_fit(args) -> int:
-    _require_degree("fit", args)
-    dataset = _load_dataset(args)
-    model, history, report = _fit_single(dataset, args)
+    cfg = _one_row_sweep("fit", args)
+    row = _sweep_row(_load_dataset(args), cfg)
+    report = row.report
     print(f"model={args.model} features={args.features} train_fraction={args.train_fraction}")
     print(f"mae={report.mae:.5f} kW")
     print(f"rmse={report.rmse:.5f} kW")
     print(f"r_squared={report.r_squared:.5f}")
     print(f"n_test={report.n_samples}")
-    if args.out_dir is not None and model is not None:
+    if args.out_dir is not None and row.fitted is not None:
         out = _out_dir(args)
         model_path = out / f"{args.model}_model.json"
-        model_path.write_text(harness.to_json(model))
-        if history is not None:
-            (out / "ann_loss_history.csv").write_text(ann.history_to_csv(history))
+        model_path.write_text(harness.to_json(row.fitted))
+        if row.history is not None:
+            (out / "ann_loss_history.csv").write_text(ann.history_to_csv(row.history))
         print(f"wrote {model_path}")
     return 0
 
@@ -228,10 +222,11 @@ def _write_sweep(out: Path, rows, cfg: harness.SweepConfig) -> tuple[Path, Path]
 
 
 def _cmd_plot_data(args) -> int:
-    _require_degree("plot-data", args)
+    cfg = _one_row_sweep("plot-data", args)
     dataset = _load_dataset(args)
-    model, _, test_m = _split_and_fit(dataset, args)
-    for path in _write_plot_data(_out_dir(args), args.model, model, test_m):
+    row = _sweep_row(dataset, cfg)
+    test_m = _test_matrix(dataset, row.train_fraction, row.feature_set, cfg.seed)
+    for path in _write_plot_data(_out_dir(args), args.model, row.fitted, test_m):
         print(f"wrote {path}")
     return 0
 
@@ -276,15 +271,13 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _featured_row(rows, model: str, degree: int | None) -> harness.SweepRow:
-    """The sweep row ``reproduce`` plots for ``model``; a failed row raises its error's kind."""
+    """The sweep row ``reproduce`` plots for ``model``; a failed row raises its exception's kind."""
     key = (model, _FEATURED_FEATURES, _FEATURED_FRACTION, degree)
     row = next(r for r in rows if (r.model, r.feature_set, r.train_fraction, r.degree) == key)
-    if row.error is not None:
-        # the row keeps its error as "ClassName: message"
-        kind = getattr(errors, row.error.partition(":")[0], None)
-        data = isinstance(kind, type) and issubclass(kind, DataError)
+    if row.exception is not None:
+        kind = DataError if isinstance(row.exception, DataError) else NumericError
         where = f"{model} {_FEATURED_FEATURES.tag} {_FEATURED_FRACTION} degree={degree}"
-        raise (DataError if data else NumericError)(f"sweep row {where} failed: {row.error}")
+        raise kind(f"sweep row {where} failed: {row.error}")
     return row
 
 
@@ -324,8 +317,7 @@ def _cmd_reproduce(args) -> int:
             )
 
     featured = {name: _featured_row(rows, *key) for name, key in _FEATURED_ROWS.items()}
-    _, test_ds = split(dataset, SplitSpec(train_fraction=_FEATURED_FRACTION, seed=args.seed))
-    test_m = select_features(test_ds, _FEATURED_FEATURES)
+    test_m = _test_matrix(dataset, _FEATURED_FRACTION, _FEATURED_FEATURES, cfg.seed)
     (out / "ann_loss_history.csv").write_text(ann.history_to_csv(featured["ann"].history))
     for name, row in featured.items():
         _write_plot_data(out, name, row.fitted, test_m)
@@ -335,7 +327,7 @@ def _cmd_reproduce(args) -> int:
 
 
 def _add_model_flags(command: argparse.ArgumentParser, models: tuple[str, ...]) -> None:
-    """The data, model and split flags that fit and plot-data share (see _split_and_fit)."""
+    """The data, model and split flags that fit and plot-data share (see _one_row_sweep)."""
     command.add_argument("--data", required=True)
     command.add_argument("--model", choices=models, default="linear")
     command.add_argument("--features", default="speed_direction_temperature")

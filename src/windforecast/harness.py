@@ -26,7 +26,7 @@ from .regression import LinearModel, PolynomialModel
 
 MODEL_ORDER = ("persistence", "linear", "polynomial", "ann")
 
-# the models fit_model can fit; persistence needs no training
+# the models plot-data can plot; persistence fits no model
 TRAINABLE_MODELS = MODEL_ORDER[1:]
 
 SWEEP_SCHEMA = "windforecast.sweep.v1"
@@ -52,16 +52,21 @@ class SweepConfig:
     def __post_init__(self):
         object.__setattr__(self, "train_fractions", tuple(float(f) for f in self.train_fractions))
         object.__setattr__(self, "feature_sets", tuple(self.feature_sets))
-        object.__setattr__(self, "degrees", tuple(int(d) for d in self.degrees))
-        object.__setattr__(self, "persistence_horizons", tuple(int(h) for h in self.persistence_horizons))
+        for axis in ("degrees", "persistence_horizons"):
+            # a float, string or bool is refused, not truncated to an int
+            values = tuple(getattr(self, axis))
+            if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in values):
+                raise InvalidConfig(f"{axis} must be integers, got {values}")
+            object.__setattr__(self, axis, tuple(int(v) for v in values))
         _check_seed(self.seed)
+        if not all(isinstance(fs, FeatureSet) for fs in self.feature_sets):
+            raise InvalidConfig(f"feature_sets must be FeatureSet members, got {self.feature_sets}")
         for axis in ("train_fractions", "feature_sets", "degrees", "models", "persistence_horizons"):
             values = getattr(self, axis)
             if len(set(values)) != len(values):
                 raise InvalidConfig(f"{axis} lists a value more than once")
         for f in self.train_fractions:
-            if not 0.5 <= f <= 0.99:
-                raise InvalidConfig(f"train fraction {f} outside [0.5, 0.99]")
+            SplitSpec(train_fraction=f, seed=self.seed)  # the split states its own range
         for d in self.degrees:
             if not regression.MIN_DEGREE <= d <= regression.MAX_DEGREE:
                 raise InvalidConfig(f"degree {d} outside [2, 5]")
@@ -83,7 +88,7 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """Result of one grid configuration; ``error`` is set when the fit failed."""
+    """Result of one grid configuration; a failed row sets ``error`` and keeps its ``exception``."""
 
     model: str
     feature_set: FeatureSet | None
@@ -93,9 +98,11 @@ class SweepRow:
     report: EvalReport | None
     out_of_bounds_fraction: float | None
     error: str | None = None
-    # the fitted model and an ANN's TrainHistory, None where absent; no report writes them
+    # the fitted model, an ANN's TrainHistory and a failed row's exception, None where
+    # absent; no report writes them
     fitted: object = field(default=None, compare=False, repr=False)
     history: ann.TrainHistory | None = field(default=None, compare=False, repr=False)
+    exception: Exception | None = field(default=None, compare=False, repr=False)
 
 
 def persistence_forecast(d: Dataset, horizon_steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -127,40 +134,14 @@ def predict_with(model, m: DesignMatrix) -> np.ndarray:
     raise FeatureMismatch(f"cannot predict with {type(model).__name__}")
 
 
-def fit_model(
-    name: str,
-    train: DesignMatrix,
-    *,
-    degree: int | None = None,
-    ann_train: ann.TrainConfig = ann.TrainConfig(),
-    target_scale: float | None = None,
-):
-    """Fit one trainable model by name; returns ``(model, history)``.
-
-    The one place a model name picks a fit; ``run_sweep`` fits its polynomial
-    rows from shared factors and trains its ANN rows in stacks
-    (``_fit_ann_stack``), and keeps every model on its rows.
-    The ANN starts from ``init_network(seed=ann_train.seed)``; ``history`` is
-    its ``TrainHistory`` and None for the regressions.
-    """
-    if name == "linear":
-        return regression.fit_ols(train), None
-    if name == "polynomial":
-        return regression.fit_polynomial(train, degree), None
-    if name == "ann":
-        net = ann.init_network(train.k, seed=ann_train.seed)
-        return ann.train(net, train, ann_train, target_scale=target_scale)
-    raise InvalidConfig(f"unknown model {name!r}; choose from {TRAINABLE_MODELS}")
-
-
 def _fit_ann_stack(trains: dict, ann_train: ann.TrainConfig, target_scale: float | None) -> dict:
     """The ``(model, history)`` pair for each key of ``trains``, or the exception that failed its fit.
 
     The matrices share a row count, so their networks train as one stack
-    (``ann.train_stack``), each from ``init_network(seed=ann_train.seed)`` as
-    in ``fit_model``. A network that diverges fails alone: it is dropped and
-    the rest train again, which changes none of their bits, since networks in
-    a stack never mix. Any other error fails every network.
+    (``ann.train_stack``), each from ``init_network(seed=ann_train.seed)`` and
+    with the bits ``ann.train`` gives it alone. A network that diverges fails
+    alone: it is dropped and the rest train again, which changes none of their
+    bits, since networks in a stack never mix. Any other error fails every network.
     """
     fitted = {}
     while len(fitted) < len(trains):
@@ -298,14 +279,14 @@ def run_sweep(d: Dataset, cfg: SweepConfig = SweepConfig()) -> list[SweepRow]:
                     factor = factors(fields["train_fraction"], fields["feature_set"])
                     model = regression.fit_polynomial(train_m, fields["degree"], factor=factor)
                 else:
-                    model, history = fit_model(fields["model"], train_m, degree=fields["degree"])
+                    model = regression.fit_ols(train_m)
                 actual, predicted = test_m.target, predict_with(model, test_m)
             oob = float(np.mean((predicted < 0) | (predicted > d.rated_power)))
             report = EvalReport.from_predictions(actual, predicted)
             rows.append(SweepRow(**fields, report=report, out_of_bounds_fraction=oob, fitted=model, history=history))
         except Exception as exc:
             error = f"{type(exc).__name__}: {exc}"
-            rows.append(SweepRow(**fields, report=None, out_of_bounds_fraction=None, error=error))
+            rows.append(SweepRow(**fields, report=None, out_of_bounds_fraction=None, error=error, exception=exc))
     return rows
 
 

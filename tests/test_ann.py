@@ -226,6 +226,19 @@ def test_train_config_validation():
     assert TrainConfig(optimizer="Adam").optimizer == "adam"
 
 
+@pytest.mark.parametrize("field", ["epochs", "batch_size"])
+@pytest.mark.parametrize("value", [2.5, 3.0, True, "3", None])
+def test_train_config_refuses_a_count_that_is_not_an_integer(field, value):
+    with pytest.raises(InvalidConfig, match=f"{field} must be an integer"):
+        TrainConfig(**{field: value})
+
+
+def test_train_config_takes_a_numpy_integer_as_an_int():
+    cfg = TrainConfig(epochs=np.int64(3), batch_size=np.int32(16))
+    assert (cfg.epochs, cfg.batch_size) == (3, 16)
+    assert type(cfg.epochs) is int and type(cfg.batch_size) is int
+
+
 def test_train_deterministic():
     d = generate_synthetic(SyntheticConfig(n_samples=400, seed=10))
     m = select_features(d, FeatureSet.SPEED_ONLY)

@@ -1,9 +1,10 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
-from windforecast import ann
+from windforecast import ann, regression
 from windforecast.cli import _featured_row, main
 from windforecast.dataset import (
     FeatureSet,
@@ -14,8 +15,8 @@ from windforecast.dataset import (
     select_features,
     split,
 )
-from windforecast.errors import DataError, NumericError
-from windforecast.harness import SweepConfig, SweepRow, fit_model, plot_data, run_sweep
+from windforecast.errors import DataError, NonFiniteLoss, NumericError, TooFewRows
+from windforecast.harness import SweepConfig, SweepRow, plot_data, run_sweep
 
 
 def run(args):
@@ -192,6 +193,33 @@ def test_fit_persistence_checks_model_flags(data_csv, capsys, flag, value, messa
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--model", "polynomial", "--degree", 5], "need more than 55 rows, got 51"),
+        (["--model", "ann", "--features", "speed", "--train-fraction", 0.5], "batch_size 32 exceeds training rows 30"),
+    ],
+)
+def test_fit_failure_keeps_the_fits_own_message(tmp_path, capsys, flags, message):
+    path = tmp_path / "small.csv"
+    assert run(["gen", "--out", path, "--n-samples", 60, "--seed", 5]) == 0
+    capsys.readouterr()
+    assert run(["fit", "--data", path, *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"data error: {message}\n"
+    assert captured.out == ""
+
+
+def test_fit_checks_its_settings_before_reading_data(tmp_path, capsys):
+    assert run(["fit", "--data", tmp_path / "missing.csv", "--train-fraction", 5]) == 2
+    assert capsys.readouterr().err == "data error: train_fraction must lie in [0.5, 0.99], got 5.0\n"
+
+
+def test_fit_ignores_the_flags_its_model_does_not_use(data_csv):
+    # a degree names a polynomial row only, a horizon a persistence row only
+    assert run(["fit", "--data", data_csv, "--model", "linear", "--degree", 7, "--horizon", 0]) == 0
+
+
 def test_fit_polynomial_requires_degree(data_csv):
     assert run(["fit", "--data", data_csv, "--model", "polynomial"]) == 1
 
@@ -322,17 +350,19 @@ def test_reproduce_failed_featured_row_exits_with_its_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "error, kind",
+    "exception, kind",
     [
-        ("TooFewRows: need more than 55 rows, got 51", DataError),
-        ("NonFiniteLoss: loss became non-finite at epoch 2", NumericError),
-        ("LinAlgError: Singular matrix", NumericError),
+        (TooFewRows("need more than 55 rows, got 51"), DataError),
+        (NonFiniteLoss(2, 0.001), NumericError),
+        (np.linalg.LinAlgError("Singular matrix"), NumericError),
     ],
 )
-def test_reproduce_failed_featured_row_keeps_its_error_kind(error, kind):
+def test_reproduce_failed_featured_row_keeps_its_error_kind(exception, kind):
+    error = f"{type(exception).__name__}: {exception}"
     row = SweepRow(
         model="ann", feature_set=FeatureSet.SPEED_DIRECTION_TEMPERATURE, train_fraction=0.85,
         degree=None, horizon=None, report=None, out_of_bounds_fraction=None, error=error,
+        exception=exception,
     )
     message = f"sweep row ann speed_direction_temperature 0.85 degree=None failed: {error}"
     with pytest.raises(kind) as exc:
@@ -351,11 +381,15 @@ def test_reproduce_plots_the_sweep_models(tmp_path):
     fs = FeatureSet.SPEED_DIRECTION_TEMPERATURE
     train_m, test_m = select_features(train_ds, fs), select_features(test_ds, fs)
     # --quick caps the ANN at 3 epochs
-    ann_train = ann.TrainConfig(epochs=3, seed=42)
-    for name, model_name in (("linear", "linear"), ("polynomial_deg5", "polynomial"), ("ann", "ann")):
-        model, history = fit_model(
-            model_name, train_m, degree=5, ann_train=ann_train, target_scale=dataset.rated_power
-        )
+    net, history = ann.train(
+        ann.init_network(3, seed=42), train_m, ann.TrainConfig(epochs=3, seed=42), target_scale=dataset.rated_power
+    )
+    models = {
+        "linear": regression.fit_ols(train_m),
+        "polynomial_deg5": regression.fit_polynomial(train_m, 5),
+        "ann": net,
+    }
+    for name, model in models.items():
         curve, scatter = plot_data(model, test_m)
         assert (out / f"{name}_power_curve.csv").read_text() == curve
         assert (out / f"{name}_pred_vs_actual.csv").read_text() == scatter

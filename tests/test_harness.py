@@ -24,7 +24,6 @@ from windforecast.dataset import (
 from windforecast.errors import ConditionWarning, FeatureMismatch, InvalidConfig, SeriesTooShort
 from windforecast.harness import (
     SweepConfig,
-    fit_model,
     from_json,
     persistence_forecast,
     plot_data,
@@ -278,8 +277,9 @@ def test_sweep_batch_larger_than_train_rows_fails_every_ann_row_of_that_fraction
     for row in rows:
         if row.train_fraction == 0.5:
             assert row.error == "InvalidConfig: batch_size 32 exceeds training rows 20"
+            assert type(row.exception) is InvalidConfig and row.error.endswith(str(row.exception))
         else:
-            assert row.error is None
+            assert row.error is None and row.exception is None
 
 
 def test_sweep_config_validation():
@@ -293,6 +293,31 @@ def test_sweep_config_validation():
         SweepConfig(persistence_horizons=(0,))
     cfg = SweepConfig(models=("ann", "linear"))
     assert cfg.models == ("linear", "ann")
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        (dict(degrees=(2.7,)), "degrees must be integers"),
+        (dict(degrees=(3.0,)), "degrees must be integers"),
+        (dict(degrees=(True,)), "degrees must be integers"),
+        (dict(degrees=("2",)), "degrees must be integers"),
+        (dict(persistence_horizons=(1.9,)), "persistence_horizons must be integers"),
+        (dict(persistence_horizons=(False,)), "persistence_horizons must be integers"),
+        (dict(feature_sets=("speed",)), "feature_sets must be FeatureSet members"),
+        (dict(feature_sets=(FeatureSet.SPEED_ONLY, ("wind_speed",))), "feature_sets must be FeatureSet members"),
+        (dict(train_fractions=(0.3,)), r"train_fraction must lie in \[0.5, 0.99\], got 0.3"),
+    ],
+)
+def test_sweep_config_refuses_a_value_of_the_wrong_kind(grid, message):
+    with pytest.raises(InvalidConfig, match=message):
+        SweepConfig(**grid)
+
+
+def test_sweep_config_takes_numpy_integers_as_ints():
+    cfg = SweepConfig(degrees=(np.int64(3),), persistence_horizons=(np.int32(4),))
+    assert cfg.degrees == (3,) and cfg.persistence_horizons == (4,)
+    assert type(cfg.degrees[0]) is int and type(cfg.persistence_horizons[0]) is int
 
 
 @pytest.mark.parametrize(
@@ -425,13 +450,6 @@ def test_predict_with_rejects_unknown_model():
     m = DesignMatrix(rows=np.ones((2, 1)), target=np.ones(2), feature_names=("wind_speed",))
     with pytest.raises(FeatureMismatch):
         predict_with(object(), m)
-
-
-@pytest.mark.parametrize("name", ["persistence", "svm"])
-def test_fit_model_rejects_unknown_name(name):
-    m = DesignMatrix(rows=np.arange(8.0)[:, None], target=np.arange(8.0), feature_names=("wind_speed",))
-    with pytest.raises(InvalidConfig, match="unknown model"):
-        fit_model(name, m)
 
 
 # -- model documents ----------------------------------------------------------
