@@ -9,11 +9,15 @@ and degree 2 the columns are x1, x2, x1^2, x1*x2, x2^2. This order is stable
 across releases; serialized models store their exponent tuples explicitly.
 
 Nested prefixes: under this order every degree's intercept-augmented design
-is a column prefix of the ``MAX_DEGREE`` design. Householder QR factors columns
-left to right, so one R factor of the equilibrated ``[1 | expand(m, MAX_DEGREE)
-| y]`` answers every degree: p columns read R's leading p x p block and the
-first p entries of its last column (Q^T y). A degree therefore fits to the
-same bits alone or in a sweep; ``fit_ols`` factors its own ``[1 | x | y]``.
+is a column prefix of the ``MAX_DEGREE`` design, and one R factor of the
+equilibrated ``[1 | expand(m, MAX_DEGREE) | y]`` answers every degree: p
+columns read R's leading p x p block and the first p entries of its last
+column (Q^T y). ``factor_design`` never holds that design whole: it applies
+Householder QR to each block of ``BLOCK_ROWS`` rows (sized for the cache), then
+to the stacked block Rs, until one R is left, and reads the equilibrating
+column norms from R (Q is orthogonal). Every step factors whole columns left
+to right, so the column-prefix contract holds, and a degree fits to the same
+bits alone or in a sweep; ``fit_ols`` factors its own ``[1 | x | y]``.
 """
 
 from __future__ import annotations
@@ -41,6 +45,10 @@ MIN_DEGREE, MAX_DEGREE = 2, 5
 CONDITION_LIMIT = 1e10
 
 _RANK_TOL = 1e-10
+
+# Rows of the design built and factored at a time: a 4,096-row block of the 57-column
+# degree-5 design is 1.9 MB and stays in cache; 1,024 to 4,096 rows ran alike, 16,384 slower
+BLOCK_ROWS = 4096
 
 
 def _numbers(values) -> tuple[float, ...]:
@@ -157,13 +165,14 @@ def _polynomial_terms(k: int, degree: int) -> list[tuple[int, ...]]:
     return monomial_exponents(k, degree)
 
 
-def _design(m: DesignMatrix, terms: list[tuple[int, ...]]) -> np.ndarray:
-    """Columns 1, the monomials ``terms`` of ``m`` and its target, in one Fortran-ordered buffer."""
-    a = np.empty((m.n, len(terms) + 2), order="F")
-    ones = np.ones(m.n)
-    for j, e in enumerate([(0,) * m.k, *terms]):
-        a[:, j] = _times_monomial(m.rows, e, ones)
-    a[:, -1] = m.target
+def _design(rows: np.ndarray, target: np.ndarray, terms: list[tuple[int, ...]]) -> np.ndarray:
+    """Columns 1, the monomials ``terms`` of ``rows`` and ``target``, in one Fortran-ordered buffer."""
+    n, k = rows.shape
+    a = np.empty((n, len(terms) + 2), order="F")
+    ones = np.ones(n)
+    for j, e in enumerate([(0,) * k, *terms]):
+        a[:, j] = _times_monomial(rows, e, ones)
+    a[:, -1] = target
     return a
 
 
@@ -174,7 +183,7 @@ def expand_polynomial(m: DesignMatrix, degree: int) -> DesignMatrix:
     """
     exponents = _polynomial_terms(m.k, degree)
     names = tuple(_term_name(e, m.feature_names) for e in exponents)
-    return DesignMatrix(rows=_design(m, exponents)[:, 1:-1], target=m.target, feature_names=names)
+    return DesignMatrix(rows=_design(m.rows, m.target, exponents)[:, 1:-1], target=m.target, feature_names=names)
 
 
 @dataclass(frozen=True)
@@ -209,13 +218,24 @@ def factor_design(m: DesignMatrix, degree: int = MAX_DEGREE) -> LeastSquaresFact
     """The factor of ``m``'s monomials up to ``degree``: 1 is the linear design,
     and every ``fit_polynomial`` of ``m`` reads the ``MAX_DEGREE`` factor."""
     terms = monomial_exponents(m.k, degree)
-    a = _design(m, terms)
-    # equilibration is an exact reparameterization of the same column space; it keeps
-    # the factorization well scaled when monomial columns span many orders of magnitude
-    norms = np.linalg.norm(a[:, :-1], axis=0)
-    a[:, :-1] /= np.where(norms == 0, 1.0, norms)
+    # each reduction must shrink the stack, so a block has at least twice the columns;
+    # an empty matrix is one empty block, whose R ``solve`` refuses for too few rows
+    step = max(BLOCK_ROWS, 2 * (len(terms) + 2))
+    rs = [
+        np.linalg.qr(_design(m.rows[i : i + step], m.target[i : i + step], terms), mode="r")
+        for i in range(0, max(m.n, 1), step)
+    ]
+    while len(rs) > 1:
+        stack = np.vstack(rs)
+        rs = [np.linalg.qr(stack[i : i + step], mode="r") for i in range(0, len(stack), step)]
+    r = rs[0]
+    # equilibration, an exact reparameterization, keeps the rank test and the solve well
+    # scaled when monomial columns span many orders of magnitude; A's column norms are R's,
+    # so R with its columns divided by them is the R of the equilibrated design
+    norms = np.linalg.norm(r[:, :-1], axis=0)
+    r[:, :-1] /= np.where(norms == 0, 1.0, norms)
     names = ("intercept", *(_term_name(e, m.feature_names) for e in terms))
-    return LeastSquaresFactor(np.linalg.qr(a, mode="r"), norms, names, degree, m.feature_names, m.n)
+    return LeastSquaresFactor(r, norms, names, degree, m.feature_names, m.n)
 
 
 def fit_ols(m: DesignMatrix) -> LinearModel:

@@ -1,11 +1,12 @@
 import itertools
 import json
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from windforecast import ann
+from windforecast import ann, regression
 from windforecast.dataset import DesignMatrix, FeatureSet, SplitSpec, select_features, split
 from windforecast.errors import (
     ConditionWarning,
@@ -18,6 +19,7 @@ from windforecast.errors import (
 from windforecast.harness import from_json, to_json
 from windforecast.metrics import r_squared
 from windforecast.regression import (
+    BLOCK_ROWS,
     LinearModel,
     PolynomialModel,
     expand_polynomial,
@@ -112,6 +114,23 @@ def test_rank_deficient_names_columns():
     with pytest.raises(RankDeficient) as exc:
         fit_ols(dm(rows, x, names=("a", "b")))
     assert "b" in exc.value.columns
+    # across several row blocks: a column that is zero in every block is named,
+    # and one that is nonzero only in the last, short block still fits
+    rng = np.random.default_rng(12)
+    n = 2 * BLOCK_ROWS + 10
+    x = rng.uniform(-1.0, 1.0, n)
+    y = 1.0 + x + rng.normal(0.0, 0.1, n)
+    for fit in (fit_ols, lambda m: fit_polynomial(m, 2)):
+        with pytest.raises(RankDeficient) as exc:
+            fit(dm(np.column_stack([x, np.zeros(n)]), y, names=("x", "zero")))
+        assert "zero" in exc.value.columns
+    late = np.zeros(n)
+    late[-10:] = rng.uniform(1.0, 2.0, 10)
+    m = dm(np.column_stack([x, late]), y, names=("x", "late"))
+    model = fit_ols(m)
+    reference = np.linalg.lstsq(np.column_stack([np.ones(n), x, late]), y, rcond=None)[0]
+    np.testing.assert_allclose([model.intercept, *model.coefficients], reference, rtol=1e-10, atol=0)
+    assert fit_polynomial(m, 2).degree == 2
 
 
 def test_constant_feature_conflicts_with_intercept():
@@ -252,19 +271,43 @@ def test_polynomial_matches_expansion_plus_ols():
     )
 
 
-def test_fits_agree_with_lstsq_on_the_equilibrated_design(synthetic_5k):
+def test_fits_agree_with_lstsq_on_the_equilibrated_design(synthetic_5k, monkeypatch):
     train_ds, _ = split(synthetic_5k, SplitSpec(train_fraction=0.85, seed=42))
-    for fs in FeatureSet:
-        m = select_features(train_ds, fs)
+    cases = [(BLOCK_ROWS, select_features(train_ds, fs), (2, 3)) for fs in FeatureSet]
+    # row counts at the block edges: a last block shorter than the 56 columns of
+    # the degree-5 design, and four blocks whose Rs are stacked and reduced
+    rng = np.random.default_rng(11)
+    for n in (BLOCK_ROWS + 10, 3 * BLOCK_ROWS + 1):
+        x = rng.uniform(-1.0, 1.0, (n, 3))
+        y = 1.5 + expand_polynomial(dm(x, x[:, 0]), 5).rows @ rng.uniform(1.0, 2.0, 55) + rng.normal(0.0, 0.1, n)
+        cases.append((BLOCK_ROWS, dm(x, y), (2, 3, 4, 5)))
+    # 120-row blocks: the stacked Rs outgrow one block and are reduced several times
+    cases.append((120, cases[-1][1], (2, 3, 4, 5)))
+    for block_rows, m, degrees in cases:
+        monkeypatch.setattr(regression, "BLOCK_ROWS", block_rows)
         linear = fit_ols(m)
         fits = [(np.column_stack([np.ones(m.n), m.rows]), [linear.intercept, *linear.coefficients])]
-        for degree in (2, 3):
+        for degree in degrees:
             expanded = expand_polynomial(m, degree).rows
             fits.append((np.column_stack([np.ones(m.n), expanded]), fit_polynomial(m, degree).coefficients))
         for a, beta in fits:
             norms = np.linalg.norm(a, axis=0)
             reference = np.linalg.lstsq(a / norms, m.target, rcond=None)[0] / norms
             np.testing.assert_allclose(beta, reference, rtol=1e-10, atol=0)
+
+
+def test_factor_design_never_holds_the_whole_design():
+    rng = np.random.default_rng(13)
+    n = 100_000
+    m = dm(rng.uniform(0.0, 1.0, (n, 3)), rng.normal(0.0, 1.0, n))
+    tracemalloc.start()
+    try:
+        factor_design(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the whole degree-5 design [1 | 55 monomials | y] is n x 57 float64s
+    assert peak < n * 57 * 8 / 4
 
 
 def test_fit_polynomial_refuses_a_factor_of_another_matrix():
