@@ -211,25 +211,13 @@ def _forward_pass(weights, biases, activations, x: np.ndarray):
     return zs, outputs
 
 
-def _output(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """Network output in kW for each row of a raw (n, k) batch: the one inference path."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[1] != model.input_dim:
-        raise DimensionMismatch(f"model expects {model.input_dim} features, got {x.shape[1]}")
-    if model.input_scaler is not None:
-        x = model.input_scaler.transform_array(x)
+def predict(model: MlpModel, m: DesignMatrix) -> np.ndarray:
+    """Network output in kW for every row of a design matrix: the one inference path."""
+    if m.k != model.input_dim:
+        raise DimensionMismatch(f"model expects {model.input_dim} features, got {m.k}")
+    x = m.rows if model.input_scaler is None else model.input_scaler.transform_array(m.rows)
     _, outputs = _forward_pass(model.weights, model.biases, model.activations, x)
     return outputs[-1][:, 0] * model.target_scale
-
-
-def forward(model: MlpModel, x) -> float:
-    """Network output in kW for one feature vector (scaler applied internally)."""
-    return float(_output(model, np.ravel(x)[np.newaxis, :])[0])
-
-
-def predict(model: MlpModel, m: DesignMatrix) -> np.ndarray:
-    """Network output in kW for every row of a design matrix."""
-    return _output(model, m.rows)
 
 
 def _layer_views(flat: np.ndarray, sizes) -> tuple[list[np.ndarray], list[np.ndarray]]:

@@ -16,18 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import ann, harness, stats
-from .dataset import (
-    Dataset,
-    DesignMatrix,
-    FeatureSet,
-    SplitSpec,
-    SyntheticConfig,
-    generate_synthetic,
-    parse_csv,
-    select_features,
-    split,
-    write_csv,
-)
+from .dataset import Dataset, FeatureSet, SyntheticConfig, generate_synthetic, parse_csv, select_features
+from .dataset import write_csv
 from .errors import ConditionWarning, DataError, InvalidConfig, NumericError
 
 GRADCHECK_TOLERANCE = 1e-4
@@ -170,12 +160,6 @@ def _sweep_row(dataset: Dataset, cfg: harness.SweepConfig) -> harness.SweepRow:
     return row
 
 
-def _test_matrix(dataset: Dataset, fraction: float, fs: FeatureSet, seed: int) -> DesignMatrix:
-    """The test rows a sweep with ``seed`` scores at ``fraction``, as a matrix of ``fs``."""
-    _, test_ds = split(dataset, SplitSpec(train_fraction=fraction, seed=seed))
-    return select_features(test_ds, fs)
-
-
 def _cmd_fit(args) -> int:
     cfg = _one_row_sweep("fit", args)
     row = _sweep_row(_load_dataset(args), cfg)
@@ -222,18 +206,16 @@ def _write_sweep(out: Path, rows, cfg: harness.SweepConfig) -> tuple[Path, Path]
 
 
 def _cmd_plot_data(args) -> int:
-    cfg = _one_row_sweep("plot-data", args)
-    dataset = _load_dataset(args)
-    row = _sweep_row(dataset, cfg)
-    test_m = _test_matrix(dataset, row.train_fraction, row.feature_set, cfg.seed)
-    for path in _write_plot_data(_out_dir(args), args.model, row.fitted, test_m):
+    row = _sweep_row(_load_dataset(args), _one_row_sweep("plot-data", args))
+    for path in _write_plot_data(_out_dir(args), args.model, row):
         print(f"wrote {path}")
     return 0
 
 
-def _write_plot_data(out: Path, prefix: str, model, test_m) -> tuple[Path, Path]:
+def _write_plot_data(out: Path, prefix: str, row: harness.SweepRow) -> tuple[Path, Path]:
+    """The plot files of a scored row's model on the test rows it was scored on."""
     paths = out / f"{prefix}_power_curve.csv", out / f"{prefix}_pred_vs_actual.csv"
-    for path, text in zip(paths, harness.plot_data(model, test_m)):
+    for path, text in zip(paths, harness.plot_data(row.fitted, row.test)):
         path.write_text(text)
     return paths
 
@@ -317,10 +299,9 @@ def _cmd_reproduce(args) -> int:
             )
 
     featured = {name: _featured_row(rows, *key) for name, key in _FEATURED_ROWS.items()}
-    test_m = _test_matrix(dataset, _FEATURED_FRACTION, _FEATURED_FEATURES, cfg.seed)
     (out / "ann_loss_history.csv").write_text(ann.history_to_csv(featured["ann"].history))
     for name, row in featured.items():
-        _write_plot_data(out, name, row.fitted, test_m)
+        _write_plot_data(out, name, row)
         print(f"plot data: {name}")
     print(f"done in {time.time() - t0:.0f}s")
     return 0

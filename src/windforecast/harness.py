@@ -98,10 +98,11 @@ class SweepRow:
     report: EvalReport | None
     out_of_bounds_fraction: float | None
     error: str | None = None
-    # the fitted model, an ANN's TrainHistory and a failed row's exception, None where
-    # absent; no report writes them
+    # the fitted model, an ANN's TrainHistory, the test matrix a model row is scored on
+    # and a failed row's exception, None where absent; no report writes them
     fitted: object = field(default=None, compare=False, repr=False)
     history: ann.TrainHistory | None = field(default=None, compare=False, repr=False)
+    test: DesignMatrix | None = field(default=None, compare=False, repr=False)
     exception: Exception | None = field(default=None, compare=False, repr=False)
 
 
@@ -134,7 +135,7 @@ def predict_with(model, m: DesignMatrix) -> np.ndarray:
     raise FeatureMismatch(f"cannot predict with {type(model).__name__}")
 
 
-def _fit_ann_stack(trains: dict, ann_train: ann.TrainConfig, target_scale: float | None) -> dict:
+def _fit_ann_stack(trains: dict, ann_train: ann.TrainConfig, target_scale: float) -> dict:
     """The ``(model, history)`` pair for each key of ``trains``, or the exception that failed its fit.
 
     The matrices share a row count, so their networks train as one stack
@@ -240,7 +241,9 @@ def run_sweep(d: Dataset, cfg: SweepConfig = SweepConfig()) -> list[SweepRow]:
     The split for a given fraction uses the sweep seed and is reused across
     models and feature sets. The polynomial rows of one (fraction, feature set)
     read one R factor, and the ANN rows of one fraction train as one stack.
-    Each scored row keeps its fitted model and, for the ANN, its loss history.
+    Each model row keeps the test matrix it is scored on, shared with the other
+    rows of its (fraction, feature set), and each scored row its fitted model
+    and, for the ANN, its loss history.
     Identical inputs yield an identical row list.
     """
 
@@ -265,7 +268,7 @@ def run_sweep(d: Dataset, cfg: SweepConfig = SweepConfig()) -> list[SweepRow]:
     rows: list[SweepRow] = []
     for fields in _grid(cfg):
         try:
-            model = history = None
+            model = history = test_m = None
             if fields["model"] == "persistence":
                 actual, predicted = persistence_forecast(d, fields["horizon"])
             else:
@@ -283,10 +286,12 @@ def run_sweep(d: Dataset, cfg: SweepConfig = SweepConfig()) -> list[SweepRow]:
                 actual, predicted = test_m.target, predict_with(model, test_m)
             oob = float(np.mean((predicted < 0) | (predicted > d.rated_power)))
             report = EvalReport.from_predictions(actual, predicted)
-            rows.append(SweepRow(**fields, report=report, out_of_bounds_fraction=oob, fitted=model, history=history))
+            rows.append(SweepRow(**fields, report=report, out_of_bounds_fraction=oob,
+                                 fitted=model, history=history, test=test_m))
         except Exception as exc:
             error = f"{type(exc).__name__}: {exc}"
-            rows.append(SweepRow(**fields, report=None, out_of_bounds_fraction=None, error=error, exception=exc))
+            rows.append(SweepRow(**fields, report=None, out_of_bounds_fraction=None, error=error,
+                                 test=test_m, exception=exc))
     return rows
 
 

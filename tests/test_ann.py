@@ -9,7 +9,6 @@ from windforecast.ann import (
     MlpModel,
     TrainConfig,
     TrainHistory,
-    forward,
     gradient_check,
     history_to_csv,
     init_network,
@@ -124,7 +123,7 @@ def test_sigmoid_of_zero_is_half():
     _, outputs = ann._forward_pass(net.weights, net.biases, net.activations, np.array([[3.0]]))
     assert outputs[3][0, 0] == 0.5
     assert outputs[4][0, 0] == 0.5
-    assert forward(net, [3.0]) == 0.0
+    assert predict(net, dm([3.0], [0.0]))[0] == 0.0
 
 
 def test_relu_layer_with_negative_preactivations_is_zero():
@@ -148,13 +147,13 @@ def test_forward_matches_hand_computed_chain():
         return (w[4] * a4 + b[4]) * ts
 
     for x in (0.0, 0.37, 1.0):
-        assert forward(net, [x]) == pytest.approx(by_hand(x), rel=1e-12)
+        assert predict(net, dm([x], [0.0]))[0] == pytest.approx(by_hand(x), rel=1e-12)
 
 
 def test_forward_dimension_mismatch():
     net = init_network(2, seed=0)
     with pytest.raises(DimensionMismatch):
-        forward(net, [1.0, 2.0, 3.0])
+        predict(net, dm([1.0, 2.0, 3.0], [0.0]))
     with pytest.raises(DimensionMismatch):
         predict(net, dm(np.ones((4, 1)), np.zeros(4)))
 
@@ -168,12 +167,12 @@ def test_gradient_check_and_train_reject_wrong_width():
         train(net, three_columns, TrainConfig(batch_size=4))
 
 
-def test_forward_agrees_with_predict():
+def test_one_row_predict_agrees_with_its_row_of_a_batch():
     net = init_network(2, seed=21)
     m = dm(np.random.default_rng(0).uniform(0, 1, (5, 2)), np.zeros(5))
     batch = predict(net, m)
     for i in range(5):
-        assert forward(net, m.rows[i]) == pytest.approx(batch[i], rel=1e-14)
+        assert predict(net, dm(m.rows[i], [0.0]))[0] == pytest.approx(batch[i], rel=1e-14)
 
 
 def test_inference_is_pinned():
@@ -186,7 +185,7 @@ def test_inference_is_pinned():
         "0x1.b8b8a5a84f97ap+9", "0x1.b6051cb70927bp+9", "0x1.b4e0a450934ccp+9",
         "0x1.b6eb8cb639113p+9", "0x1.b36f17cd31aa5p+9",
     ]
-    assert [forward(trained, row).hex() for row in five.rows] == [
+    assert [float(predict(trained, dm(row, [0.0]))[0]).hex() for row in five.rows] == [
         "0x1.b8b8a5a84f979p+9", "0x1.b6051cb70927bp+9", "0x1.b4e0a450934cbp+9",
         "0x1.b6eb8cb639112p+9", "0x1.b36f17cd31aa5p+9",
     ]

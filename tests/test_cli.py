@@ -1,5 +1,7 @@
+import csv
 import json
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -323,6 +325,30 @@ def test_plot_data_files(data_csv, tmp_path):
     assert len(curve) == len(scatter) == 1 + 80  # 20% of 400 rows
 
 
+@pytest.mark.parametrize(
+    "args, n_fractions",
+    [
+        (["plot-data", "--data", "{data}", "--model", "linear", "--train-fraction", "0.8"], 1),
+        (["reproduce", "--quick", "--n-samples", 400, "--epochs", 3], 2),
+    ],
+)
+def test_plotting_commands_split_each_fraction_once(data_csv, tmp_path, monkeypatch, args, n_fractions):
+    """The plot files come from the rows the sweep scored, not from a second split."""
+    original = split
+    calls = []
+
+    def counting_split(*a, **kw):
+        calls.append(a[1].train_fraction)
+        return original(*a, **kw)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("windforecast") and getattr(module, "split", None) is original:
+            monkeypatch.setattr(module, "split", counting_split)
+    argv = [str(data_csv) if a == "{data}" else a for a in args]
+    assert run([*argv, "--out-dir", tmp_path / "out"]) == 0
+    assert len(calls) == len(set(calls)) == n_fractions
+
+
 def test_gradcheck_passes(capsys):
     assert run(["gradcheck", "--seed", 3]) == 0
     assert "OK" in capsys.readouterr().out
@@ -375,6 +401,12 @@ def test_reproduce_plots_the_sweep_models(tmp_path):
     """The plot data equals a direct refit of each model at 0.85 with all three features."""
     out = tmp_path / "out"
     assert run(["reproduce", "--quick", "--n-samples", 2000, "--epochs", 5, "--out-dir", out]) == 0
+    rows = list(csv.DictReader((out / "sweep.csv").read_text().splitlines()[1:]))
+    # 2 persistence horizons + 4 feature sets x 2 fractions x (linear, 2 degrees, ann)
+    assert len(rows) == 2 + 4 * 2 * 4
+    assert {r["status"] for r in rows} == {"ok"}
+    doc = json.loads((out / "sweep.json").read_text())
+    assert [r["r_squared"] for r in doc["rows"]] == [float(r["r_squared"]) for r in rows]
 
     dataset = generate_synthetic(SyntheticConfig(n_samples=2000, seed=42))
     train_ds, test_ds = split(dataset, SplitSpec(train_fraction=0.85, seed=42))
@@ -389,8 +421,12 @@ def test_reproduce_plots_the_sweep_models(tmp_path):
         "polynomial_deg5": regression.fit_polynomial(train_m, 5),
         "ann": net,
     }
+    n_test = 2000 - int(2000 * 0.85)
     for name, model in models.items():
         curve, scatter = plot_data(model, test_m)
         assert (out / f"{name}_power_curve.csv").read_text() == curve
         assert (out / f"{name}_pred_vs_actual.csv").read_text() == scatter
-    assert (out / "ann_loss_history.csv").read_text() == ann.history_to_csv(history)
+        assert len(curve.splitlines()) == len(scatter.splitlines()) == 1 + n_test
+    loss_csv = (out / "ann_loss_history.csv").read_text()
+    assert loss_csv == ann.history_to_csv(history)
+    assert len(loss_csv.splitlines()) == 1 + 3

@@ -149,8 +149,22 @@ def test_sweep_single_row_reproducible(tiny_sweep):
 
 
 def test_sweep_polynomial_rows_equal_fits_alone(tiny_sweep):
-    """Each degree read from the sweep's shared factor is the model fit_polynomial builds alone."""
+    """Each degree read from the sweep's shared factor is the model fit_polynomial builds alone.
+
+    Every model row keeps the test matrix it was scored on, one object per
+    (fraction, feature set); a persistence row keeps none.
+    """
     d, cfg, rows = tiny_sweep
+    assert [r.test for r in rows if r.model == "persistence"] == [None] * len(cfg.persistence_horizons)
+    shared = {}
+    for r in (r for r in rows if r.model != "persistence"):
+        test_m = select_features(split(d, SplitSpec(train_fraction=r.train_fraction, seed=cfg.seed))[1],
+                                 r.feature_set)
+        assert np.array_equal(r.test.rows, test_m.rows)
+        assert np.array_equal(r.test.target, test_m.target)
+        assert r.test.feature_names == test_m.feature_names
+        assert shared.setdefault((r.train_fraction, r.feature_set), r.test) is r.test
+    assert len(shared) == 6 * 4
     fs = FeatureSet.SPEED_DIRECTION_TEMPERATURE
     train_m = select_features(split(d, SplitSpec(train_fraction=0.85, seed=cfg.seed))[0], fs)
     swept = {
