@@ -10,13 +10,14 @@ from .dataset import (
     fit_scaler,
     generate_synthetic,
     parse_csv,
+    physical_power,
     power_curve,
     select_features,
     split,
     write_csv,
 )
 from .metrics import EvalReport, mae, r_squared, rmse
-from .stats import CorrelationMatrix, correlation_matrix, pearson, physical_power
+from .stats import CorrelationMatrix, correlation_matrix, pearson
 
 __version__ = "0.1.0"
 

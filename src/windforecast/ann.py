@@ -305,9 +305,12 @@ def train(
     epoch; with a fixed (data, seed, config) the result is identical across
     runs. ``target_scale`` defaults to the maximum training target (the
     plant's rated power is the conventional choice). This is a stack of one
-    (see ``train_stack``).
+    (see ``train_stack``), so a diverging network raises its ``NonFiniteLoss``.
     """
-    return train_stack([model], [train_matrix], cfg, target_scale)[0]
+    (fit,) = train_stack([model], [train_matrix], cfg, target_scale)
+    if isinstance(fit, NonFiniteLoss):
+        raise fit
+    return fit
 
 
 def train_stack(
@@ -315,7 +318,7 @@ def train_stack(
     train_matrices,
     cfg: TrainConfig,
     target_scale: float | None = None,
-) -> list[tuple[MlpModel, TrainHistory]]:
+) -> list[tuple[MlpModel, TrainHistory] | NonFiniteLoss]:
     """Train networks ``models[i]`` on ``train_matrices[i]`` as one stack.
 
     The matrices must have the same row count, so every network draws the
@@ -323,8 +326,9 @@ def train_stack(
     for the whole stack. Inputs are zero-padded to the widest network. Each
     result equals ``train`` of that network alone, bit for bit: the networks
     share no arithmetic, and their padded weight columns start at 0 and get a
-    gradient of exactly 0, so Adam and SGD keep them at 0. A network whose
-    loss turns non-finite raises ``NonFiniteLoss`` with its index.
+    gradient of exactly 0, so Adam and SGD keep them at 0. A network whose loss
+    turns non-finite fails alone: its result is a ``NonFiniteLoss``, and zeroing
+    its parameters and optimizer state keeps it finite. Training ends once all fail.
     """
     if not models or len(models) != len(train_matrices):
         raise InvalidConfig(
@@ -363,6 +367,7 @@ def train_stack(
     rng = _rng(cfg.seed)
     lr = cfg.learning_rate
     losses = []
+    failed_at = np.zeros(len(models), dtype=int)  # the epoch a network diverged in; 0 while it trains
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         x_epoch, y_epoch = x[:, order], y[:, order]
@@ -373,9 +378,13 @@ def train_stack(
                 weights, biases, activations, widths,
                 x_epoch[:, start:stop], y_epoch[:, start:stop], grads_w, grads_b,
             )
-            diverged = np.flatnonzero(~np.isfinite(batch_loss))
-            if diverged.size:
-                raise NonFiniteLoss(epoch + 1, lr, network=int(diverged[0]))
+            diverged = ~np.isfinite(batch_loss)
+            if diverged.any():
+                for state in (theta, grad, m, v) if adam else (theta, grad):
+                    state[diverged] = 0.0
+                failed_at[diverged & (failed_at == 0)] = epoch + 1
+                if failed_at.all():
+                    return [NonFiniteLoss(e, lr) for e in failed_at.tolist()]
             sse += batch_loss * (stop - start)
             if adam:
                 step += 1
@@ -390,7 +399,7 @@ def train_stack(
         losses.append(sse / n)
 
     return [
-        (
+        NonFiniteLoss(int(failed_at[i]), lr) if failed_at[i] else (
             MlpModel(
                 layer_sizes=model.layer_sizes,
                 activations=model.activations,

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import ann, harness, stats
 from .dataset import Dataset, FeatureSet, SyntheticConfig, generate_synthetic, parse_csv, select_features
-from .dataset import write_csv
+from .dataset import decode_utf8, write_csv
 from .errors import ConditionWarning, DataError, InvalidConfig, NumericError
 
 GRADCHECK_TOLERANCE = 1e-4
@@ -53,15 +53,31 @@ def _input_file(path: Path, what: str) -> Path:
 
 
 def _load_dataset(args) -> Dataset:
-    path = _input_file(Path(args.data), "data")
-    rated = getattr(args, "rated_power", None)
-    return parse_csv(path.read_bytes(), rated_power=rated)
+    return parse_csv(_input_file(Path(args.data), "data").read_bytes(), rated_power=args.rated_power)
+
+
+def _out_dir_arg(text: str) -> Path:
+    """``--out-dir``'s argparse type: refused (exit 2) unless it is, or can be made, a directory."""
+    path = Path(text)
+    nearest = next(p for p in (path, *path.parents) if p.exists())
+    if not nearest.is_dir():
+        raise DataError(f"output directory {path} cannot be made: {nearest} is not a directory")
+    return path
+
+
+def _out_file_arg(text: str) -> Path:
+    """``gen --out``'s argparse type: refused (exit 2) if it is a directory or its own cannot be made."""
+    path = Path(text)
+    if path.is_dir():
+        raise DataError(f"output file {path} is a directory")
+    _out_dir_arg(str(path.parent))
+    return path
 
 
 def _out_dir(args) -> Path:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    """The checked ``--out-dir``, made with its parents just before a command writes to it."""
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    return args.out_dir
 
 
 def _floats(text: str) -> list[float]:
@@ -78,7 +94,7 @@ def _feature_sets(text: str) -> list[FeatureSet]:
 
 def _read_config_file(path: Path) -> dict:
     """Flat key=value synthetic config; '#' starts a comment."""
-    text = _input_file(path, "config").read_text()
+    text = decode_utf8(_input_file(path, "config").read_bytes(), f"config {path}")
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -94,9 +110,7 @@ def _read_config_file(path: Path) -> dict:
         try:
             values[key] = kind(raw.strip())
         except ValueError:
-            raise InvalidConfig(
-                f"{path}:{lineno}: {key} must be {kind.__name__}, got {raw.strip()!r}"
-            ) from None
+            raise InvalidConfig(f"{path}:{lineno}: {key} must be {kind.__name__}, got {raw.strip()!r}") from None
     return values
 
 
@@ -108,10 +122,9 @@ def _cmd_gen(args) -> int:
             values[name] = flag_value
     config = SyntheticConfig(**values)
     dataset = generate_synthetic(config)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(write_csv(dataset))
-    print(f"wrote {len(dataset)} rows to {out}")
+    args.out.parent.mkdir(parents=True, exist_ok=True)
+    args.out.write_text(write_csv(dataset))
+    print(f"wrote {len(dataset)} rows to {args.out}")
     return 0
 
 
@@ -323,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     gen = sub.add_parser("gen", help="generate a synthetic dataset CSV")
-    gen.add_argument("--out", required=True, help="output CSV path")
+    gen.add_argument("--out", type=_out_file_arg, required=True, help="output CSV path")
     gen.add_argument("--config", help="flat key=value config file")
     for name, kind in _SYNTHETIC_TYPES.items():
         gen.add_argument("--" + name.replace("_", "-"), dest=name, type=kind, default=None)
@@ -332,14 +345,16 @@ def build_parser() -> argparse.ArgumentParser:
     correlate = sub.add_parser("correlate", help="correlation matrix and heatmap plot data")
     correlate.add_argument("--data", required=True)
     correlate.add_argument("--rated-power", dest="rated_power", type=float, default=None)
-    correlate.add_argument("--out-dir", dest="out_dir", default=".")
+    correlate.add_argument("--out-dir", dest="out_dir", type=_out_dir_arg, default=".")
     correlate.set_defaults(func=_cmd_correlate)
 
     fit = sub.add_parser("fit", help="fit one model and print its evaluation")
     _add_model_flags(fit, harness.MODEL_ORDER)
     fit.add_argument("--horizon", type=int, default=1, help="persistence steps ahead")
     fit.add_argument("--rated-power", dest="rated_power", type=float, default=None)
-    fit.add_argument("--out-dir", dest="out_dir", default=None, help="save the fitted model here")
+    fit.add_argument(
+        "--out-dir", dest="out_dir", type=_out_dir_arg, default=None, help="save the fitted model here"
+    )
     fit.set_defaults(func=_cmd_fit)
 
     sweep = sub.add_parser("sweep", help="run the full experiment grid")
@@ -362,13 +377,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--horizons", type=_ints, default=",".join(str(h) for h in harness.DEFAULT_HORIZONS)
     )
     sweep.add_argument("--rated-power", dest="rated_power", type=float, default=None)
-    sweep.add_argument("--out-dir", dest="out_dir", default=".")
+    sweep.add_argument("--out-dir", dest="out_dir", type=_out_dir_arg, default=".")
     sweep.set_defaults(func=_cmd_sweep)
 
     plot_data = sub.add_parser("plot-data", help="power-curve and pred-vs-actual plot files")
     _add_model_flags(plot_data, harness.TRAINABLE_MODELS)
     plot_data.add_argument("--rated-power", dest="rated_power", type=float, default=None)
-    plot_data.add_argument("--out-dir", dest="out_dir", default=".")
+    plot_data.add_argument("--out-dir", dest="out_dir", type=_out_dir_arg, default=".")
     plot_data.set_defaults(func=_cmd_plot_data)
 
     gradcheck = sub.add_parser("gradcheck", help="verify the backward pass numerically")
@@ -376,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     gradcheck.set_defaults(func=_cmd_gradcheck)
 
     reproduce = sub.add_parser("reproduce", help="synthetic plant -> sweep tables and plot data")
-    reproduce.add_argument("--out-dir", dest="out_dir", default="results")
+    reproduce.add_argument("--out-dir", dest="out_dir", type=_out_dir_arg, default="results")
     reproduce.add_argument("--n-samples", dest="n_samples", type=int, default=SyntheticConfig.n_samples)
     reproduce.add_argument("--seed", type=int, default=42)
     reproduce.add_argument("--epochs", type=int, default=20)
@@ -387,9 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)  # an output flag's type refuses its path here
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

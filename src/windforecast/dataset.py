@@ -20,6 +20,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import (
+    BetzViolation,
     DataError,
     DegenerateSplit,
     EmptyInput,
@@ -282,6 +283,26 @@ def fit_scaler(m: DesignMatrix) -> MinMaxScaler:
     return MinMaxScaler(mins=m.rows.min(axis=0), maxs=m.rows.max(axis=0))
 
 
+BETZ_LIMIT = 0.59
+
+
+def physical_power(v, rho: float, cp: float, area: float):
+    """Kinetic-energy power law 0.5*rho*cp*A*v^3 in kW; cp above ``BETZ_LIMIT`` is rejected.
+
+    The law is evaluated on v's mantissa m (v = m * 2**e) and scaled by 2**(3e) last, so rounding
+    never depends on v's scale: doubling v scales a normal output by exactly 8. A subnormal output
+    (below 2.2250738585072014e-308 kW) lies on a fixed 2**-1074 grid, where f(2v) == 8*f(v) can fail.
+    """
+    if cp > BETZ_LIMIT:
+        raise BetzViolation(f"power coefficient {cp} exceeds {BETZ_LIMIT}")
+    v_arr = np.asarray(v, dtype=np.float64)
+    if np.any(v_arr < 0) or rho < 0 or cp < 0 or area < 0:
+        raise ValueError("wind speed, density, power coefficient and area must be >= 0")
+    m, e = np.frexp(v_arr)
+    result = np.ldexp(0.5 * rho * cp * area * (m * m * m) / 1000.0, 3 * e)
+    return float(result) if np.isscalar(v) or v_arr.ndim == 0 else result
+
+
 @dataclass(frozen=True)
 class SyntheticConfig:
     """Parameters of the synthetic plant.
@@ -313,10 +334,8 @@ class SyntheticConfig:
                 "need 0 < cut_in_speed < rated_speed < cut_out_speed, got "
                 f"{self.cut_in_speed}, {self.rated_speed}, {self.cut_out_speed}"
             )
-        if not 0 < self.power_coefficient <= 0.59:
-            raise InvalidConfig(
-                f"power_coefficient must lie in (0, 0.59], got {self.power_coefficient}"
-            )
+        if not 0 < self.power_coefficient <= BETZ_LIMIT:
+            raise InvalidConfig(f"power_coefficient must lie in (0, {BETZ_LIMIT}], got {self.power_coefficient}")
         if self.rated_power <= 0 or self.air_density <= 0 or self.rotor_area <= 0:
             raise InvalidConfig("rated_power, air_density and rotor_area must be > 0")
         if self.noise_sd < 0:
@@ -330,14 +349,11 @@ def power_curve(config: SyntheticConfig, v) -> np.ndarray:
     at rated power on [cut_in, rated]; rated power on (rated, cut_out].
     """
     v = np.asarray(v, dtype=np.float64)
-    cubic = 0.5 * config.air_density * config.power_coefficient * config.rotor_area * (v * v * v) / 1000.0
     ramp = (v >= config.cut_in_speed) & (v <= config.rated_speed)
     plateau = (v > config.rated_speed) & (v <= config.cut_out_speed)
-    return np.where(
-        ramp,
-        np.minimum(cubic, config.rated_power),
-        np.where(plateau, config.rated_power, 0.0),
-    )
+    # the law on ramp speeds only: a speed below 0 reads 0, like any other below cut-in
+    law = physical_power(np.where(ramp, v, 0), config.air_density, config.power_coefficient, config.rotor_area)
+    return np.where(ramp, np.minimum(law, config.rated_power), np.where(plateau, config.rated_power, 0.0))
 
 
 # Wind speeds are Weibull with shape 2 (Rayleigh) and scale 2/3 of the rated
@@ -438,6 +454,14 @@ def write_csv(dataset: Dataset) -> str:
     return _csv_text(CSV_HEADER, zip((ts.isoformat() for ts in dataset.timestamps), *columns))
 
 
+def decode_utf8(raw: bytes, what: str) -> str:
+    """``raw`` decoded as UTF-8; otherwise a DataError naming ``what`` and the first bad byte's offset."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{what} is not UTF-8: invalid byte at offset {exc.start}") from None
+
+
 def parse_csv(source, rated_power: float | None = None) -> Dataset:
     """Parse the canonical CSV format into a validated Dataset.
 
@@ -455,10 +479,7 @@ def parse_csv(source, rated_power: float | None = None) -> Dataset:
     if hasattr(source, "read"):
         source = source.read()
     if isinstance(source, bytes):
-        try:
-            source = source.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DataError(f"input is not UTF-8: invalid byte at offset {exc.start}") from None
+        source = decode_utf8(source, "input")
     reader = csv.reader(source.splitlines())
     try:
         header = next(reader)

@@ -128,15 +128,11 @@ class DimensionMismatch(DataError):
 
 
 class NonFiniteLoss(NumericError):
-    """Training loss became NaN or infinite (divergence).
+    """Training loss became NaN or infinite; a training stack returns it as that network's result."""
 
-    ``network`` is the index of the diverged network in a training stack.
-    """
-
-    def __init__(self, epoch, learning_rate, network=0):
+    def __init__(self, epoch, learning_rate):
         self.epoch = epoch
         self.learning_rate = learning_rate
-        self.network = network
         super().__init__(
             f"training diverged at epoch {epoch} (learning_rate={learning_rate}); "
             "try a smaller learning rate"

@@ -20,7 +20,7 @@ import numpy as np
 from . import ann, regression
 from .dataset import Dataset, DesignMatrix, FeatureSet, MinMaxScaler, SplitSpec, select_features, split
 from .dataset import _check_seed, _csv_text
-from .errors import DataError, FeatureMismatch, InvalidConfig, MalformedModel, NonFiniteLoss, SeriesTooShort
+from .errors import DataError, FeatureMismatch, InvalidConfig, MalformedModel, SeriesTooShort
 from .metrics import EvalReport
 from .regression import LinearModel, PolynomialModel
 
@@ -135,30 +135,6 @@ def predict_with(model, m: DesignMatrix) -> np.ndarray:
     raise FeatureMismatch(f"cannot predict with {type(model).__name__}")
 
 
-def _fit_ann_stack(trains: dict, ann_train: ann.TrainConfig, target_scale: float) -> dict:
-    """The ``(model, history)`` pair for each key of ``trains``, or the exception that failed its fit.
-
-    The matrices share a row count, so their networks train as one stack
-    (``ann.train_stack``), each from ``init_network(seed=ann_train.seed)`` and
-    with the bits ``ann.train`` gives it alone. A network that diverges fails
-    alone: it is dropped and the rest train again, which changes none of their
-    bits, since networks in a stack never mix. Any other error fails every network.
-    """
-    fitted = {}
-    while len(fitted) < len(trains):
-        pending = [key for key in trains if key not in fitted]
-        nets = [ann.init_network(trains[key].k, seed=ann_train.seed) for key in pending]
-        try:
-            stack = ann.train_stack(nets, [trains[key] for key in pending], ann_train, target_scale)
-        except NonFiniteLoss as exc:
-            fitted[pending[exc.network]] = exc
-            continue
-        except Exception as exc:
-            return {**fitted, **dict.fromkeys(pending, exc)}
-        fitted.update(zip(pending, stack))
-    return fitted
-
-
 # -- model documents ----------------------------------------------------------
 
 # A document is the schema tag, then every dataclass field in declaration
@@ -240,7 +216,8 @@ def run_sweep(d: Dataset, cfg: SweepConfig = SweepConfig()) -> list[SweepRow]:
 
     The split for a given fraction uses the sweep seed and is reused across
     models and feature sets. The polynomial rows of one (fraction, feature set)
-    read one R factor, and the ANN rows of one fraction train as one stack.
+    read one R factor, and the ANN rows of one fraction train once, as one stack:
+    a diverged network fails its own row, any other training error every ANN row.
     Each model row keeps the test matrix it is scored on, shared with the other
     rows of its (fraction, feature set), and each scored row its fitted model
     and, for the ANN, its loss history.
@@ -262,8 +239,13 @@ def run_sweep(d: Dataset, cfg: SweepConfig = SweepConfig()) -> list[SweepRow]:
 
     @functools.cache
     def networks(fraction: float) -> dict:
-        trains = {fs: matrices(fraction, fs)[0] for fs in cfg.feature_sets}
-        return _fit_ann_stack(trains, cfg.ann_train, d.rated_power)
+        trains = [matrices(fraction, fs)[0] for fs in cfg.feature_sets]
+        nets = [ann.init_network(m.k, seed=cfg.ann_train.seed) for m in trains]
+        try:
+            fits = ann.train_stack(nets, trains, cfg.ann_train, d.rated_power)
+        except Exception as exc:
+            fits = [exc] * len(trains)
+        return dict(zip(cfg.feature_sets, fits))
 
     rows: list[SweepRow] = []
     for fields in _grid(cfg):

@@ -1,4 +1,4 @@
-"""Pearson correlation analysis and the kinetic-energy reference curve."""
+"""Pearson correlation analysis and its heatmap plot data."""
 
 from __future__ import annotations
 
@@ -7,9 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, _csv_text, _readonly
-from .errors import BetzViolation, ConstantInput, LengthMismatch
-
-BETZ_LIMIT = 0.59
+from .errors import ConstantInput, LengthMismatch
 
 CORRELATION_COLUMNS = ("wind_speed", "wind_direction", "temperature", "power")
 
@@ -76,25 +74,3 @@ def heatmap_csv(cm: CorrelationMatrix) -> str:
     labels = cm.labels
     triples = ((row, col, r) for row, rs in zip(labels, cm.values.tolist()) for col, r in zip(labels, rs))
     return _csv_text(("row_label", "col_label", "r"), triples)
-
-
-def physical_power(v, rho: float, cp: float, area: float):
-    """Kinetic-energy power law 0.5*rho*cp*A*v^3, returned in kW.
-
-    v's binary exponent is split off first (v = m * 2**e), the law is
-    evaluated on the mantissa m, and 2**(3e) is applied last. Rounding
-    therefore never depends on v's scale, so doubling v scales the output
-    by exactly 8 whenever the output is a normal float. Below
-    2.2250738585072014e-308 kW the output is subnormal: subnormals lie on
-    a fixed grid of spacing 2**-1074, so no floating-point format can keep
-    f(2v) == 8*f(v) there, and the two sides may differ by a few grid
-    steps. cp above the 0.59 conversion bound is rejected.
-    """
-    if cp > BETZ_LIMIT:
-        raise BetzViolation(f"power coefficient {cp} exceeds {BETZ_LIMIT}")
-    v_arr = np.asarray(v, dtype=np.float64)
-    if np.any(v_arr < 0) or rho < 0 or cp < 0 or area < 0:
-        raise ValueError("wind speed, density, power coefficient and area must be >= 0")
-    m, e = np.frexp(v_arr)
-    result = np.ldexp(0.5 * rho * cp * area * (m * m * m) / 1000.0, 3 * e)
-    return float(result) if np.isscalar(v) or v_arr.ndim == 0 else result

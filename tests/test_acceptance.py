@@ -19,13 +19,14 @@ from windforecast.dataset import (
     SplitSpec,
     SyntheticConfig,
     generate_synthetic,
+    physical_power,
     select_features,
     split,
 )
 from windforecast.harness import SweepConfig, run_sweep
 from windforecast.metrics import mae, r_squared, rmse
 from windforecast.regression import expand_polynomial, fit_ols, fit_polynomial
-from windforecast.stats import pearson, physical_power
+from windforecast.stats import pearson
 
 DEFAULT_FRACTIONS = (0.95, 0.90, 0.85, 0.80, 0.75, 0.70)
 

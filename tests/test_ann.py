@@ -437,17 +437,31 @@ def test_stack_matches_single_networks_bit_for_bit(monkeypatch, optimizer):
             assert np.array_equal(got_array, want_array)
 
 
-def test_stack_divergence_names_the_network():
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+def test_stack_divergence_fails_only_its_own_network(monkeypatch, optimizer):
     rng = np.random.default_rng(0)
     x = rng.uniform(0.0, 1.0, 200)
     m = dm(x, 2.0 * x)
     calm = init_network(1, seed=1)
     wild = replace(calm, weights=tuple(w * 1e160 for w in calm.weights))
+    cfg = TrainConfig(epochs=2, seed=0, optimizer=optimizer)
+    alone, alone_history = train(calm, m, cfg)
     with np.errstate(all="ignore"):  # overflow on the way to divergence is the point
-        with pytest.raises(NonFiniteLoss) as exc:
-            ann.train_stack([calm, wild], [m, m], TrainConfig(epochs=2, seed=0))
-    assert exc.value.network == 1
-    assert exc.value.epoch == 1
+        first, failed, last = ann.train_stack([calm, wild, calm], [m, m, m], cfg)
+    assert type(failed) is NonFiniteLoss and failed.epoch == 1
+    for got, history in (first, last):
+        assert history.losses == alone_history.losses
+        for got_array, want_array in zip(got.weights + got.biases, alone.weights + alone.biases, strict=True):
+            assert np.array_equal(got_array, want_array)
+
+    # once every network has failed, training stops at that step
+    steps = []
+    loss_and_grads = ann._loss_and_grads
+    monkeypatch.setattr(ann, "_loss_and_grads", lambda *a: steps.append(1) or loss_and_grads(*a))
+    with np.errstate(all="ignore"):
+        results = ann.train_stack([wild, wild], [m, m], cfg)
+    assert [(type(r), r.epoch) for r in results] == [(NonFiniteLoss, 1)] * 2
+    assert len(steps) == 1
 
 
 def test_stack_validation():

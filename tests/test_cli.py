@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from windforecast import ann, regression
+from windforecast import ann, cli, regression
 from windforecast.cli import _featured_row, main
 from windforecast.dataset import (
     FeatureSet,
@@ -157,6 +157,45 @@ def test_config_path_that_is_a_directory_exits_2(tmp_path, capsys):
     assert run(["gen", "--out", tmp_path / "d.csv", "--config", tmp_path]) == 2
     assert f"config path is not a regular file: {tmp_path}" in capsys.readouterr().err
     assert not (tmp_path / "d.csv").exists()
+
+
+def test_non_utf8_config_exits_2_with_the_offset(tmp_path, capsys):
+    cfg = tmp_path / "plant.cfg"
+    cfg.write_bytes(b"seed=3\nnoise_sd=2\xb50\n")
+    assert run(["gen", "--out", tmp_path / "d.csv", "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"data error: config {cfg} is not UTF-8: invalid byte at offset 17\n"
+    assert not (tmp_path / "d.csv").exists()
+
+
+@pytest.mark.parametrize("under_a_file", [False, True], ids=["names", "under-a-file"])
+@pytest.mark.parametrize("command", ["correlate", "fit", "sweep", "plot-data", "reproduce", "gen"])
+def test_output_path_of_the_wrong_kind_exits_2_before_reading_data(
+    monkeypatch, data_csv, tmp_path, capsys, command, under_a_file
+):
+    # an --out-dir that is a file or lies under one, a gen --out that is a directory or lies under a file
+    (tmp_path / "dir").mkdir()
+    if command == "gen":
+        out = data_csv / "d.csv" if under_a_file else tmp_path / "dir"
+        args = ["--out", out]
+    else:
+        out = data_csv / "out" if under_a_file else data_csv
+        args = ["--quick"] if command == "reproduce" else ["--data", data_csv]
+        args += ["--out-dir", out]
+    if command == "gen" and not under_a_file:
+        message = f"output file {out} is a directory"
+    else:
+        where = out.parent if command == "gen" else out
+        message = f"output directory {where} cannot be made: {data_csv} is not a directory"
+    before = sorted(tmp_path.rglob("*"))
+
+    def no_data(*args):
+        raise AssertionError("data was read")
+
+    monkeypatch.setattr(cli, "_load_dataset", no_data)
+    monkeypatch.setattr(cli, "generate_synthetic", no_data)
+    assert run([command, *args]) == 2
+    assert capsys.readouterr() == ("", f"data error: {message}\n")
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_correlate_outputs(data_csv, tmp_path, capsys):

@@ -257,19 +257,24 @@ def test_ann_sweep_rows_are_pinned():
     assert got == PINNED_ANN_ROWS
 
 
-def test_sweep_divergence_fails_only_its_own_row(monkeypatch):
-    d = generate_synthetic(SyntheticConfig(n_samples=400, seed=42))
-    cfg = SweepConfig(train_fractions=(0.85, 0.7), models=("ann",), ann_train=FAST_ANN)
-    calm = run_sweep(d, replace(cfg, feature_sets=tuple(FeatureSet)[1:]))
+def explode_speed_only(monkeypatch):
+    """Make every 1-input network (speed_only, the first of each stack) diverge in its first step."""
     init_network = ann.init_network
 
     def exploding(input_dim, hidden=ann.DEFAULT_HIDDEN, seed=0):
         net = init_network(input_dim, hidden, seed)
-        if input_dim == 1:  # speed_only, the first network of each stack
+        if input_dim == 1:
             net = replace(net, weights=tuple(w * 1e160 for w in net.weights))
         return net
 
     monkeypatch.setattr(ann, "init_network", exploding)
+
+
+def test_sweep_divergence_fails_only_its_own_row(monkeypatch):
+    d = generate_synthetic(SyntheticConfig(n_samples=400, seed=42))
+    cfg = SweepConfig(train_fractions=(0.85, 0.7), models=("ann",), ann_train=FAST_ANN)
+    calm = run_sweep(d, replace(cfg, feature_sets=tuple(FeatureSet)[1:]))
+    explode_speed_only(monkeypatch)
     with np.errstate(all="ignore"):  # overflow on the way to divergence is the point
         rows = run_sweep(d, cfg)
     diverged = [r for r in rows if r.feature_set is FeatureSet.SPEED_ONLY]
@@ -281,6 +286,24 @@ def test_sweep_divergence_fails_only_its_own_row(monkeypatch):
             "try a smaller learning rate"
         )
     assert [r for r in rows if r.feature_set is not FeatureSet.SPEED_ONLY] == calm
+
+
+def test_sweep_trains_each_fraction_once_when_a_network_diverges(monkeypatch):
+    d = generate_synthetic(SyntheticConfig(n_samples=400, seed=42))
+    cfg = SweepConfig(train_fractions=(0.85, 0.7), models=("ann",), ann_train=FAST_ANN)
+    explode_speed_only(monkeypatch)
+    stack_sizes = []
+    train_stack = ann.train_stack
+
+    def counting(models, *args):
+        stack_sizes.append(len(models))
+        return train_stack(models, *args)
+
+    monkeypatch.setattr(ann, "train_stack", counting)
+    with np.errstate(all="ignore"):
+        rows = run_sweep(d, cfg)
+    assert stack_sizes == [4, 4]
+    assert sum(r.error is not None for r in rows) == 2
 
 
 def test_sweep_batch_larger_than_train_rows_fails_every_ann_row_of_that_fraction():

@@ -6,14 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from windforecast.dataset import Dataset
+from windforecast.dataset import Dataset, physical_power
 from windforecast.errors import BetzViolation, ConstantInput, LengthMismatch
 from windforecast.stats import (
     CORRELATION_COLUMNS,
     correlation_matrix,
     heatmap_csv,
     pearson,
-    physical_power,
 )
 
 
