@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import DesignMatrix, MinMaxScaler, _check_seed, _csv_text, _readonly, _rng, fit_scaler
+from .dataset import DesignMatrix, MinMaxScaler, _check_seed, _csv_text, _is_int, _readonly, _rng, fit_scaler
 from .errors import (
     DimensionMismatch,
     InvalidArchitecture,
@@ -84,15 +84,14 @@ class TrainConfig:
         object.__setattr__(self, "optimizer", str(self.optimizer).lower())
         for name in ("epochs", "batch_size"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            if not _is_int(value):
                 raise InvalidConfig(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise InvalidConfig(f"{name} must be >= 1")
             object.__setattr__(self, name, int(value))
-        if self.epochs < 1:
-            raise InvalidConfig("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise InvalidConfig("batch_size must be >= 1")
-        if not self.learning_rate > 0:
-            raise InvalidConfig("learning_rate must be > 0")
+        lr = self.learning_rate
+        if isinstance(lr, bool) or not isinstance(lr, (int, float)) or not 0 < lr < np.inf:
+            raise InvalidConfig(f"learning_rate must be a finite number > 0, got {lr!r}")
         if self.optimizer not in ("sgd", "adam"):
             raise InvalidConfig(f"optimizer must be 'sgd' or 'adam', got {self.optimizer!r}")
         _check_seed(self.seed)

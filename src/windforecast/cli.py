@@ -9,16 +9,15 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-import warnings
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
 import numpy as np
 
-from . import ann, harness, stats
+from . import ann, harness, regression, stats
 from .dataset import Dataset, FeatureSet, SyntheticConfig, generate_synthetic, parse_csv, select_features
 from .dataset import decode_utf8, write_csv
-from .errors import ConditionWarning, DataError, InvalidConfig, NumericError
+from .errors import DataError, InvalidConfig, NumericError
 
 GRADCHECK_TOLERANCE = 1e-4
 
@@ -165,9 +164,20 @@ def _one_row_sweep(command: str, args) -> harness.SweepConfig:
     )
 
 
+def _run_sweep(dataset: Dataset, cfg: harness.SweepConfig) -> list[harness.SweepRow]:
+    """``cfg``'s sweep rows; one stderr line counts the ill-conditioned polynomial fits, if any."""
+    rows = harness.run_sweep(dataset, cfg)
+    fits = [r.fitted for r in rows if r.model == "polynomial" and r.report is not None]
+    if ill := sum(model.ill_conditioned for model in fits):
+        limit = regression.CONDITION_LIMIT
+        print(f"warning: {ill} of {len(fits)} polynomial fits have a condition estimate above {limit:.0e}; "
+              "their coefficients may be unstable", file=sys.stderr)
+    return rows
+
+
 def _sweep_row(dataset: Dataset, cfg: harness.SweepConfig) -> harness.SweepRow:
     """The one row of ``cfg``'s sweep; a failed row raises its own exception."""
-    (row,) = harness.run_sweep(dataset, cfg)
+    (row,) = _run_sweep(dataset, cfg)
     if row.exception is not None:
         raise row.exception
     return row
@@ -203,7 +213,7 @@ def _cmd_sweep(args) -> int:
         ann_train=ann.TrainConfig(epochs=args.epochs, seed=args.seed),
         persistence_horizons=args.horizons,
     )
-    rows = harness.run_sweep(dataset, cfg)
+    rows = _run_sweep(dataset, cfg)
     csv_path, json_path = _write_sweep(_out_dir(args), rows, cfg)
     print(f"{len(rows)} configurations ({sum(r.error is not None for r in rows)} failed)")
     print(f"wrote {csv_path}")
@@ -293,10 +303,7 @@ def _cmd_reproduce(args) -> int:
     _write_heatmap(out, cm)
     print(f"corr(speed, power) = {cm.lookup('wind_speed', 'power'):.6f}")
 
-    with warnings.catch_warnings():
-        # degree-5 direction monomials warn on every fit; each model records its estimate
-        warnings.simplefilter("ignore", ConditionWarning)
-        rows = harness.run_sweep(dataset, cfg)
+    rows = _run_sweep(dataset, cfg)
     csv_path, _ = _write_sweep(out, rows, cfg)
     failed = sum(r.error is not None for r in rows)
     print(f"sweep: {len(rows)} configurations ({failed} failed) -> {csv_path}")

@@ -42,8 +42,15 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is an int or numpy integer; a bool, float or string is not, so none is truncated."""
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer))
+
+
 def _check_seed(seed: int) -> None:
-    """Reject a negative seed, which PCG64 cannot take, when a config is built."""
+    """Reject a seed PCG64 cannot take, not an integer or negative, when a config is built."""
+    if not _is_int(seed):
+        raise InvalidConfig(f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise InvalidConfig(f"seed must be >= 0, got {seed}")
 
@@ -326,6 +333,8 @@ class SyntheticConfig:
         for name in (f.name for f in fields(self) if isinstance(f.default, float)):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidConfig(f"{name} must be finite, got {getattr(self, name)}")
+        if not _is_int(self.n_samples):
+            raise InvalidConfig(f"n_samples must be an integer, got {self.n_samples!r}")
         if self.n_samples < 1:
             raise InvalidConfig("n_samples must be >= 1")
         _check_seed(self.seed)

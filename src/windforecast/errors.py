@@ -113,10 +113,6 @@ class MalformedModel(DataError, ValueError):
     """A saved model document is not an object, lacks a key or has an unknown schema."""
 
 
-class ConditionWarning(UserWarning):
-    """Fit succeeded but the design matrix condition estimate exceeds 1e10."""
-
-
 # -- ann ----------------------------------------------------------------------
 
 class InvalidArchitecture(DataError):

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import ann, regression
 from .dataset import Dataset, DesignMatrix, FeatureSet, MinMaxScaler, SplitSpec, select_features, split
-from .dataset import _check_seed, _csv_text
+from .dataset import _check_seed, _csv_text, _is_int
 from .errors import DataError, FeatureMismatch, InvalidConfig, MalformedModel, SeriesTooShort
 from .metrics import EvalReport
 from .regression import LinearModel, PolynomialModel
@@ -53,9 +53,8 @@ class SweepConfig:
         object.__setattr__(self, "train_fractions", tuple(float(f) for f in self.train_fractions))
         object.__setattr__(self, "feature_sets", tuple(self.feature_sets))
         for axis in ("degrees", "persistence_horizons"):
-            # a float, string or bool is refused, not truncated to an int
             values = tuple(getattr(self, axis))
-            if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in values):
+            if not all(map(_is_int, values)):
                 raise InvalidConfig(f"{axis} must be integers, got {values}")
             object.__setattr__(self, axis, tuple(int(v) for v in values))
         _check_seed(self.seed)

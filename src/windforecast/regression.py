@@ -23,25 +23,18 @@ bits alone or in a sweep; ``fit_ols`` factors its own ``[1 | x | y]``.
 from __future__ import annotations
 
 import operator
-import warnings
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .dataset import DesignMatrix
-from .errors import (
-    ConditionWarning,
-    DegreeOutOfRange,
-    FeatureMismatch,
-    RankDeficient,
-    TooFewRows,
-)
+from .dataset import DesignMatrix, _is_int
+from .errors import DegreeOutOfRange, FeatureMismatch, RankDeficient, TooFewRows
 
 MIN_DEGREE, MAX_DEGREE = 2, 5
 
-# Condition estimate above which a polynomial fit carries a warning.
+# Condition estimate above which a polynomial fit is ill-conditioned: its coefficients may be unstable
 CONDITION_LIMIT = 1e10
 
 _RANK_TOL = 1e-10
@@ -99,8 +92,7 @@ class PolynomialModel:
     condition_estimate: float
 
     def __post_init__(self):
-        # a float, string or bool exponent is refused, not truncated to an int
-        if any(isinstance(e, bool) or not isinstance(e, (int, np.integer)) for t in self.terms for e in t):
+        if not all(_is_int(e) for t in self.terms for e in t):
             raise FeatureMismatch("each exponent must be an integer")
         object.__setattr__(self, "terms", tuple(tuple(int(e) for e in t) for t in self.terms))
         object.__setattr__(self, "coefficients", _numbers(self.coefficients))
@@ -262,8 +254,8 @@ def fit_polynomial(m: DesignMatrix, degree: int, *, factor: LeastSquaresFactor |
 
     Pass ``factor`` to share one factorization across degrees; the model is
     the same bits either way. Ill-conditioning is not a failure: the
-    condition estimate is stored on the model and a ConditionWarning is
-    emitted when it exceeds 1e10.
+    condition estimate is stored on the model, and ``ill_conditioned`` reads
+    it against ``CONDITION_LIMIT``.
     """
     terms = [(0,) * m.k, *_polynomial_terms(m.k, degree)]
     if factor is None:
@@ -271,9 +263,6 @@ def fit_polynomial(m: DesignMatrix, degree: int, *, factor: LeastSquaresFactor |
     elif (factor.degree, factor.feature_names, factor.n) != (MAX_DEGREE, m.feature_names, m.n):
         raise FeatureMismatch(f"factor is of degree {factor.degree} on {factor.n} rows of {factor.feature_names}")
     beta, cond = factor.solve(len(terms))
-    if cond > CONDITION_LIMIT:
-        message = "polynomial design matrix condition estimate exceeds 1e10; coefficients may be unstable"
-        warnings.warn(message, ConditionWarning, stacklevel=2)
     return PolynomialModel(degree, tuple(terms), tuple(beta), m.feature_names, cond)
 
 

@@ -5,7 +5,6 @@ share one session dataset (n=30090, seed 42).
 
 import os
 import time
-import warnings
 
 import mpmath as mp
 import numpy as np
@@ -168,9 +167,7 @@ def test_criterion_4_model_ordering_on_default_synthetic(full_dataset):
             seed=seed,
             ann_train=ann.TrainConfig(epochs=20, batch_size=32, learning_rate=1e-3, seed=seed),
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            rows = run_sweep(full_dataset, cfg)
+        rows = run_sweep(full_dataset, cfg)
         assert all(r.error is None for r in rows)
         best = {}
         for model in ("linear", "polynomial", "ann"):
@@ -204,9 +201,7 @@ def test_criterion_5_training_r2_nondecreasing_in_degree(full_dataset):
             matrix = select_features(train_ds, fs)
             scores = []
             for degree in (2, 3, 4, 5):
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    model = fit_polynomial(matrix, degree)
+                model = fit_polynomial(matrix, degree)
                 scores.append(
                     r_squared(matrix.target, regression.predict_polynomial(model, matrix))
                 )
@@ -238,10 +233,8 @@ def test_criterion_6_cli_sweep_byte_identical(tmp_path):
     ]
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        assert cli_main(args + ["--out-dir", str(out_a)]) == 0
-        assert cli_main(args + ["--out-dir", str(out_b)]) == 0
+    assert cli_main(args + ["--out-dir", str(out_a)]) == 0
+    assert cli_main(args + ["--out-dir", str(out_b)]) == 0
     identical_csv = (out_a / "sweep.csv").read_bytes() == (out_b / "sweep.csv").read_bytes()
     identical_json = (out_a / "sweep.json").read_bytes() == (out_b / "sweep.json").read_bytes()
     _report("criterion 6 (sweep determinism, byte-identical reports)", identical_csv and identical_json)

@@ -220,12 +220,15 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(InvalidConfig):
         TrainConfig(learning_rate=0.0)
+    for learning_rate in (float("inf"), float("nan"), "x", True):
+        with pytest.raises(InvalidConfig, match="learning_rate must be a finite number > 0"):
+            TrainConfig(learning_rate=learning_rate)
     with pytest.raises(InvalidConfig):
         TrainConfig(optimizer="rmsprop")
     assert TrainConfig(optimizer="Adam").optimizer == "adam"
 
 
-@pytest.mark.parametrize("field", ["epochs", "batch_size"])
+@pytest.mark.parametrize("field", ["epochs", "batch_size", "seed"])
 @pytest.mark.parametrize("value", [2.5, 3.0, True, "3", None])
 def test_train_config_refuses_a_count_that_is_not_an_integer(field, value):
     with pytest.raises(InvalidConfig, match=f"{field} must be an integer"):

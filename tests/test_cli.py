@@ -408,6 +408,9 @@ def test_reproduce_failed_featured_row_exits_with_its_error(tmp_path, capsys):
     out = tmp_path / "out"
     assert run(["reproduce", "--quick", "--n-samples", 60, "--out-dir", out]) == 2
     assert capsys.readouterr().err == (
+        # the two failed degree-5 rows are not counted among the scored fits
+        "warning: 4 of 14 polynomial fits have a condition estimate above 1e+10; "
+        "their coefficients may be unstable\n"
         "data error: sweep row polynomial speed_direction_temperature 0.85 degree=5 failed: "
         "TooFewRows: need more than 55 rows, got 51\n"
     )
@@ -435,7 +438,31 @@ def test_reproduce_failed_featured_row_keeps_its_error_kind(exception, kind):
     assert type(exc.value) is kind and str(exc.value) == message
 
 
-@pytest.mark.filterwarnings("ignore::windforecast.errors.ConditionWarning")
+def _ill_conditioned_line(dataset, cfg: SweepConfig) -> str:
+    """The stderr line for ``cfg``'s sweep, its counts read from the fitted polynomial models."""
+    fits = [r.fitted for r in run_sweep(dataset, cfg) if r.model == "polynomial" and r.report is not None]
+    ill = sum(model.ill_conditioned for model in fits)
+    assert 0 < ill < len(fits)
+    return (f"warning: {ill} of {len(fits)} polynomial fits have a condition estimate above 1e+10; "
+            "their coefficients may be unstable\n")
+
+
+def test_ill_conditioned_polynomial_fits_are_counted_on_one_stderr_line(data_csv, tmp_path, capsys):
+    assert run(["sweep", "--data", data_csv, "--model", "polynomial", "--out-dir", tmp_path / "sweep"]) == 0
+    err = capsys.readouterr().err
+    assert err == _ill_conditioned_line(parse_csv(data_csv.read_bytes()), SweepConfig(models=("polynomial",)))
+    assert " 96 polynomial fits " in err
+
+    assert run(["reproduce", "--quick", "--n-samples", 600, "--epochs", 1, "--out-dir", tmp_path / "rep"]) == 0
+    err = capsys.readouterr().err
+    quick = SweepConfig(train_fractions=(0.85, 0.70), degrees=(2, 5), models=("polynomial",))
+    assert err == _ill_conditioned_line(generate_synthetic(SyntheticConfig(n_samples=600, seed=42)), quick)
+    assert " 16 polynomial fits " in err
+
+    assert run(["fit", "--data", data_csv, "--model", "linear"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_reproduce_plots_the_sweep_models(tmp_path):
     """The plot data equals a direct refit of each model at 0.85 with all three features."""
     out = tmp_path / "out"

@@ -498,6 +498,8 @@ def test_synthetic_config_validation():
         SyntheticConfig(power_coefficient=0.0)
     with pytest.raises(InvalidConfig):
         SyntheticConfig(n_samples=0)
+    with pytest.raises(InvalidConfig, match="n_samples must be an integer, got 2.5"):
+        SyntheticConfig(n_samples=2.5)
     with pytest.raises(InvalidConfig):
         SyntheticConfig(noise_sd=-1.0)
 

@@ -21,7 +21,7 @@ from windforecast.dataset import (
     select_features,
     split,
 )
-from windforecast.errors import ConditionWarning, FeatureMismatch, InvalidConfig, SeriesTooShort
+from windforecast.errors import FeatureMismatch, InvalidConfig, SeriesTooShort
 from windforecast.harness import (
     SweepConfig,
     from_json,
@@ -89,9 +89,7 @@ def test_persistence_error_grows_with_horizon(synthetic_5k):
 def tiny_sweep():
     d = generate_synthetic(SyntheticConfig(n_samples=600, seed=20))
     cfg = SweepConfig(ann_train=FAST_ANN)
-    with pytest.warns(Warning):
-        rows = run_sweep(d, cfg)
-    return d, cfg, rows
+    return d, cfg, run_sweep(d, cfg)
 
 
 def test_default_grid_row_count(tiny_sweep):
@@ -119,8 +117,7 @@ def test_sweep_row_order_deterministic(tiny_sweep):
 
 def test_sweep_deterministic_reports(tiny_sweep):
     d, cfg, rows = tiny_sweep
-    with pytest.warns(Warning):
-        again = run_sweep(d, cfg)
+    again = run_sweep(d, cfg)
     assert sweep_csv(rows) == sweep_csv(again)
     assert sweep_json(rows, cfg) == sweep_json(again, cfg)
 
@@ -172,14 +169,12 @@ def test_sweep_polynomial_rows_equal_fits_alone(tiny_sweep):
     }
     assert sorted(swept) == [2, 3, 4, 5]
     factor = regression.factor_design(train_m)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ConditionWarning)
-        for degree, model in swept.items():
-            for alone in (regression.fit_polynomial(train_m, degree),
-                          regression.fit_polynomial(train_m, degree, factor=factor)):
-                assert alone.terms == model.terms
-                assert alone.coefficients == model.coefficients
-                assert alone.condition_estimate == model.condition_estimate
+    for degree, model in swept.items():
+        for alone in (regression.fit_polynomial(train_m, degree),
+                      regression.fit_polynomial(train_m, degree, factor=factor)):
+            assert alone.terms == model.terms
+            assert alone.coefficients == model.coefficients
+            assert alone.condition_estimate == model.condition_estimate
 
 
 def test_sweep_degree_too_large_for_its_rows_fails_alone():
@@ -187,23 +182,24 @@ def test_sweep_degree_too_large_for_its_rows_fails_alone():
     d = generate_synthetic(SyntheticConfig(n_samples=60, seed=3))
     cfg = SweepConfig(train_fractions=(0.75,), feature_sets=(FeatureSet.SPEED_DIRECTION_TEMPERATURE,),
                       models=("polynomial",))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ConditionWarning)
-        rows = run_sweep(d, cfg)
+    rows = run_sweep(d, cfg)
     assert [(r.degree, r.error) for r in rows] == [
         (2, None), (3, None), (4, None), (5, "TooFewRows: need more than 55 rows, got 45")]
     assert all(r.report is not None for r in rows[:3])
 
 
-def test_sweep_warns_once_per_ill_conditioned_polynomial_row(tiny_sweep):
+def test_sweep_marks_each_ill_conditioned_polynomial_row_without_a_warning(tiny_sweep):
     d, cfg, _ = tiny_sweep
     cfg = replace(cfg, models=("polynomial",))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the library reports ill-conditioning on the model only
         rows = run_sweep(d, cfg)
-    ill = sum(r.fitted.ill_conditioned for r in rows)
-    assert 0 < ill < len(rows)
-    assert sum(issubclass(w.category, ConditionWarning) for w in caught) == ill
+    ill = [r for r in rows if r.fitted.ill_conditioned]
+    assert 0 < len(ill) < len(rows)
+    for r in rows:
+        assert r.fitted.ill_conditioned == (r.fitted.condition_estimate > regression.CONDITION_LIMIT)
+    # the monomials of speed alone stay well-conditioned at every degree
+    assert all(r.feature_set is not FeatureSet.SPEED_ONLY for r in ill)
 
 
 def test_sweep_records_failures_without_aborting():
@@ -344,6 +340,8 @@ def test_sweep_config_validation():
         (dict(feature_sets=("speed",)), "feature_sets must be FeatureSet members"),
         (dict(feature_sets=(FeatureSet.SPEED_ONLY, ("wind_speed",))), "feature_sets must be FeatureSet members"),
         (dict(train_fractions=(0.3,)), r"train_fraction must lie in \[0.5, 0.99\], got 0.3"),
+        (dict(seed=1.5), "seed must be an integer, got 1.5"),
+        (dict(seed=True), "seed must be an integer, got True"),
     ],
 )
 def test_sweep_config_refuses_a_value_of_the_wrong_kind(grid, message):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import tracemalloc
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -9,7 +10,6 @@ import pytest
 from windforecast import ann, regression
 from windforecast.dataset import DesignMatrix, FeatureSet, SplitSpec, select_features, split
 from windforecast.errors import (
-    ConditionWarning,
     DegreeOutOfRange,
     FeatureMismatch,
     MalformedModel,
@@ -20,6 +20,7 @@ from windforecast.harness import from_json, to_json
 from windforecast.metrics import r_squared
 from windforecast.regression import (
     BLOCK_ROWS,
+    CONDITION_LIMIT,
     LinearModel,
     PolynomialModel,
     expand_polynomial,
@@ -322,15 +323,16 @@ def test_fit_polynomial_refuses_a_factor_of_another_matrix():
         fit_polynomial(m, 2, factor=factor_design(m, 2))
 
 
-def test_condition_warning_on_wild_scales():
+def test_ill_conditioned_fit_on_wild_scales_is_marked_without_a_warning():
     rng = np.random.default_rng(6)
     # direction-like feature spanning hundreds: degree-5 monomials reach 1e12
     x = np.column_stack([rng.uniform(0.0, 25.0, 300), rng.uniform(0.0, 360.0, 300)])
     y = rng.normal(0.0, 1.0, 300)
-    with pytest.warns(ConditionWarning):
-        model = fit_polynomial(dm(x, y), 5)
-    assert model.ill_conditioned
-    assert model.condition_estimate > 1e10
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # ill-conditioning is not reported as a Python warning
+        wild, tame = fit_polynomial(dm(x, y), 5), fit_polynomial(dm(x / x.max(axis=0), y), 2)
+    assert wild.ill_conditioned and wild.condition_estimate > CONDITION_LIMIT
+    assert not tame.ill_conditioned and 1 <= tame.condition_estimate <= CONDITION_LIMIT
 
 
 def test_polynomial_predict_feature_mismatch():
