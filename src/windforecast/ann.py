@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import DesignMatrix, MinMaxScaler, _check_seed, _csv_text, _is_int, _readonly, _rng, fit_scaler
+from .dataset import DesignMatrix, MinMaxScaler, _csv_text, _integer, _is_real, _readonly, _real, _rng, fit_scaler
 from .errors import (
     DimensionMismatch,
     InvalidArchitecture,
@@ -81,20 +81,13 @@ class TrainConfig:
     optimizer: str = "adam"
 
     def __post_init__(self):
-        object.__setattr__(self, "optimizer", str(self.optimizer).lower())
         for name in ("epochs", "batch_size"):
-            value = getattr(self, name)
-            if not _is_int(value):
-                raise InvalidConfig(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise InvalidConfig(f"{name} must be >= 1")
-            object.__setattr__(self, name, int(value))
-        lr = self.learning_rate
-        if isinstance(lr, bool) or not isinstance(lr, (int, float)) or not 0 < lr < np.inf:
-            raise InvalidConfig(f"learning_rate must be a finite number > 0, got {lr!r}")
-        if self.optimizer not in ("sgd", "adam"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), 1))
+        object.__setattr__(self, "learning_rate", _real("learning_rate", self.learning_rate, 0))
+        if not (isinstance(self.optimizer, str) and self.optimizer.lower() in ("sgd", "adam")):
             raise InvalidConfig(f"optimizer must be 'sgd' or 'adam', got {self.optimizer!r}")
-        _check_seed(self.seed)
+        object.__setattr__(self, "optimizer", self.optimizer.lower())
+        object.__setattr__(self, "seed", _integer("seed", self.seed, 0))
 
 
 @dataclass(frozen=True)
@@ -153,8 +146,9 @@ class MlpModel:
                 raise InvalidArchitecture(f"layer {l} bias has shape {b.shape}")
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise InvalidArchitecture(f"layer {l} has non-finite parameters")
-        if not (np.isfinite(self.target_scale) and self.target_scale > 0):
-            raise InvalidArchitecture(f"target_scale must be finite and > 0, got {self.target_scale}")
+        if not (_is_real(self.target_scale) and np.isfinite(self.target_scale) and self.target_scale > 0):
+            raise InvalidArchitecture(f"target_scale must be finite and > 0, got {self.target_scale!r}")
+        object.__setattr__(self, "target_scale", float(self.target_scale))
         width = sizes[0] if self.input_scaler is None else len(self.input_scaler.mins)
         if width != sizes[0]:
             raise InvalidArchitecture(f"input scaler has {width} features, the network {sizes[0]}")
@@ -342,10 +336,10 @@ def train_stack(
     if n < cfg.batch_size:
         raise InvalidConfig(f"batch_size {cfg.batch_size} exceeds training rows {n}")
     scalers = [fit_scaler(m) for m in train_matrices]
-    scales = [_peak_scale(m.target) if target_scale is None else target_scale for m in train_matrices]
-    for scale in scales:
-        if not (np.isfinite(scale) and scale > 0):
-            raise InvalidConfig(f"target_scale must be finite and > 0, got {scale}")
+    scales = [
+        _real("target_scale", _peak_scale(m.target) if target_scale is None else target_scale, 0)
+        for m in train_matrices
+    ]
 
     theta, sizes, weights, biases = _stack_params(models)
     x = np.zeros((len(models), n, sizes[0]))
@@ -405,7 +399,7 @@ def train_stack(
                 weights=(weights[0][i, :, : model.input_dim], *(w[i] for w in weights[1:])),
                 biases=tuple(b[i] for b in biases),
                 input_scaler=scalers[i],
-                target_scale=float(scales[i]),
+                target_scale=scales[i],
             ),
             TrainHistory(losses=tuple(epoch_losses[i] for epoch_losses in losses)),
         )

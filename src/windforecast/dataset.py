@@ -2,8 +2,8 @@
 
 All random draws in this package go through numpy's PCG64 generator so that
 every split, synthetic dataset and weight initialisation is reproducible from
-a 64-bit seed, on any platform. Shuffles are Fisher-Yates as implemented by
-``numpy.random.Generator.permutation``.
+a non-negative integer seed, on any platform. Shuffles are Fisher-Yates as
+implemented by ``numpy.random.Generator.permutation``.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ OVERPOWER_TOLERANCE = 1.05
 
 
 def _rng(seed: int) -> np.random.Generator:
-    """The package-wide PRNG: PCG64 seeded with a 64-bit integer."""
+    """The package-wide PRNG: PCG64 seeded with a non-negative integer of any size."""
     return np.random.Generator(np.random.PCG64(seed))
 
 
@@ -47,12 +47,26 @@ def _is_int(value) -> bool:
     return not isinstance(value, bool) and isinstance(value, (int, np.integer))
 
 
-def _check_seed(seed: int) -> None:
-    """Reject a seed PCG64 cannot take, not an integer or negative, when a config is built."""
-    if not _is_int(seed):
-        raise InvalidConfig(f"seed must be an integer, got {seed!r}")
-    if seed < 0:
-        raise InvalidConfig(f"seed must be >= 0, got {seed}")
+def _is_real(value) -> bool:
+    """Whether ``value`` is an int, float or numpy number; a bool or a string is not, so none is misread."""
+    return _is_int(value) or isinstance(value, (float, np.floating))
+
+
+def _integer(name: str, value, low: int | None = None) -> int:
+    """A config value as a plain int; refused unless an integer (see ``_is_int``) >= ``low``, if given."""
+    if not _is_int(value):
+        raise InvalidConfig(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise InvalidConfig(f"{name} must be >= {low}, got {value}")
+    return int(value)
+
+
+def _real(name: str, value, low: int | None = None) -> float:
+    """A config value as a plain float; refused unless a finite number (see ``_is_real``) > ``low``, if given."""
+    if not (_is_real(value) and math.isfinite(value) and (low is None or value > low)):
+        bound = "" if low is None else f" and > {low}"
+        raise InvalidConfig(f"{name} must be finite{bound}, got {value!r}")
+    return float(value)
 
 
 def _row_problems(columns: dict[str, np.ndarray], rated_power: float | None) -> list[tuple[int, str]]:
@@ -76,14 +90,6 @@ def _row_problems(columns: dict[str, np.ndarray], rated_power: float | None) -> 
     return [
         (int(i), reason.format(float(col[i]))) for i in flagged for mask, reason, col in checks if mask[i]
     ]
-
-
-def _checked_rated_power(rated_power) -> float:
-    """``rated_power`` as a float, rejected unless finite and > 0, before any row is judged by it."""
-    rated_power = float(rated_power)
-    if not (math.isfinite(rated_power) and rated_power > 0):
-        raise InvalidConfig(f"rated_power must be finite and > 0, got {rated_power}")
-    return rated_power
 
 
 def _check_order(stamps: np.ndarray) -> None:
@@ -131,7 +137,7 @@ class Dataset:
             raise InvalidConfig("timestamps and the four columns must be 1-D and of equal length")
         if not len(stamps):
             raise EmptyInput("dataset has no records")
-        rated_power = _checked_rated_power(rated_power)
+        rated_power = _real("rated_power", rated_power, 0)
         failures = _row_problems(columns, rated_power)
         if failures:
             raise RowParseError((i + 1, reason) for i, reason in failures)
@@ -252,11 +258,12 @@ class SplitSpec:
     seed: int
 
     def __post_init__(self):
+        object.__setattr__(self, "train_fraction", _real("train_fraction", self.train_fraction))
         if not 0.5 <= self.train_fraction <= 0.99:
             raise InvalidConfig(
                 f"train_fraction must lie in [0.5, 0.99], got {self.train_fraction}"
             )
-        _check_seed(self.seed)
+        object.__setattr__(self, "seed", _integer("seed", self.seed, 0))
 
 
 @dataclass(frozen=True)
@@ -330,14 +337,10 @@ class SyntheticConfig:
     seed: int = 42
 
     def __post_init__(self):
-        for name in (f.name for f in fields(self) if isinstance(f.default, float)):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidConfig(f"{name} must be finite, got {getattr(self, name)}")
-        if not _is_int(self.n_samples):
-            raise InvalidConfig(f"n_samples must be an integer, got {self.n_samples!r}")
-        if self.n_samples < 1:
-            raise InvalidConfig("n_samples must be >= 1")
-        _check_seed(self.seed)
+        lows = {"n_samples": 1, "seed": 0}  # the integer fields; every other field is a float
+        for f in fields(self):
+            check = _integer if f.name in lows else _real
+            object.__setattr__(self, f.name, check(f.name, getattr(self, f.name), lows.get(f.name)))
         if not 0 < self.cut_in_speed < self.rated_speed < self.cut_out_speed:
             raise InvalidConfig(
                 "need 0 < cut_in_speed < rated_speed < cut_out_speed, got "
@@ -483,8 +486,8 @@ def parse_csv(source, rated_power: float | None = None) -> Dataset:
     must be finite and > 0; when omitted it is taken as the maximum observed
     power.
     """
-    if rated_power is not None:
-        rated_power = _checked_rated_power(rated_power)
+    if rated_power is not None:  # checked before any row is judged by it
+        rated_power = _real("rated_power", rated_power, 0)
     if hasattr(source, "read"):
         source = source.read()
     if isinstance(source, bytes):

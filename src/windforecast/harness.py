@@ -19,10 +19,10 @@ import numpy as np
 
 from . import ann, regression
 from .dataset import Dataset, DesignMatrix, FeatureSet, MinMaxScaler, SplitSpec, select_features, split
-from .dataset import _check_seed, _csv_text, _is_int
+from .dataset import _csv_text, _integer
 from .errors import DataError, FeatureMismatch, InvalidConfig, MalformedModel, SeriesTooShort
 from .metrics import EvalReport
-from .regression import LinearModel, PolynomialModel
+from .regression import MAX_DEGREE, MIN_DEGREE, LinearModel, PolynomialModel
 
 MODEL_ORDER = ("persistence", "linear", "polynomial", "ann")
 
@@ -35,6 +35,23 @@ DEFAULT_FRACTIONS = (0.95, 0.90, 0.85, 0.80, 0.75, 0.70)
 
 # 96 steps of 15 minutes = 24 h ahead; 1 step is the ultra-short horizon.
 DEFAULT_HORIZONS = (1, 96)
+
+
+def _axis(name: str, values, check) -> tuple:
+    """``values`` as a tuple of ``check(value)``; a string, a scalar or a repeated value is refused."""
+    # a 0-d array has __iter__ but cannot be iterated
+    if isinstance(values, str) or not hasattr(values, "__iter__") or getattr(values, "ndim", 1) == 0:
+        raise InvalidConfig(f"{name} must be a collection of values, got {values!r}")
+    items = tuple(map(check, values))
+    if len(set(items)) != len(items):
+        raise InvalidConfig(f"{name} lists a value more than once")
+    return items
+
+
+def _one_of(name: str, value, choices):
+    if value not in choices:
+        raise InvalidConfig(f"{name} must be one of {', '.join(map(str, choices))}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -50,35 +67,21 @@ class SweepConfig:
     persistence_horizons: tuple[int, ...] = DEFAULT_HORIZONS
 
     def __post_init__(self):
-        object.__setattr__(self, "train_fractions", tuple(float(f) for f in self.train_fractions))
-        object.__setattr__(self, "feature_sets", tuple(self.feature_sets))
-        for axis in ("degrees", "persistence_horizons"):
-            values = tuple(getattr(self, axis))
-            if not all(map(_is_int, values)):
-                raise InvalidConfig(f"{axis} must be integers, got {values}")
-            object.__setattr__(self, axis, tuple(int(v) for v in values))
-        _check_seed(self.seed)
-        if not all(isinstance(fs, FeatureSet) for fs in self.feature_sets):
-            raise InvalidConfig(f"feature_sets must be FeatureSet members, got {self.feature_sets}")
-        for axis in ("train_fractions", "feature_sets", "degrees", "models", "persistence_horizons"):
-            values = getattr(self, axis)
-            if len(set(values)) != len(values):
-                raise InvalidConfig(f"{axis} lists a value more than once")
-        for f in self.train_fractions:
-            SplitSpec(train_fraction=f, seed=self.seed)  # the split states its own range
-        for d in self.degrees:
-            if not regression.MIN_DEGREE <= d <= regression.MAX_DEGREE:
-                raise InvalidConfig(f"degree {d} outside [2, 5]")
-        unknown = set(self.models) - set(MODEL_ORDER)
-        if unknown:
-            raise InvalidConfig(f"unknown models {sorted(unknown)}; choose from {MODEL_ORDER}")
+        object.__setattr__(self, "seed", _integer("seed", self.seed, 0))
+        if not isinstance(self.ann_train, ann.TrainConfig):
+            raise InvalidConfig(f"ann_train must be an ann.TrainConfig, got {self.ann_train!r}")
+        checks = {
+            # the split states its own range
+            "train_fractions": lambda f: SplitSpec(train_fraction=f, seed=self.seed).train_fraction,
+            "feature_sets": lambda fs: _one_of("feature_set", fs, tuple(FeatureSet)),
+            "degrees": lambda d: _one_of("degree", _integer("degree", d), range(MIN_DEGREE, MAX_DEGREE + 1)),
+            "models": lambda m: _one_of("model", m, MODEL_ORDER),
+            "persistence_horizons": lambda h: _integer("persistence_horizon", h, 1),
+        }
+        for axis, check in checks.items():
+            object.__setattr__(self, axis, _axis(axis, getattr(self, axis), check))
         # canonical model order keeps row order deterministic
-        object.__setattr__(
-            self, "models", tuple(m for m in MODEL_ORDER if m in set(self.models))
-        )
-        for h in self.persistence_horizons:
-            if h < 1:
-                raise InvalidConfig(f"persistence horizon must be >= 1, got {h}")
+        object.__setattr__(self, "models", tuple(m for m in MODEL_ORDER if m in self.models))
         gridded = {row["model"] for row in _grid(self)}
         rowless = [name for name in self.models if name not in gridded]
         if rowless or not self.models:
@@ -185,7 +188,6 @@ def from_json(text: str):
             ]
             if scaler is not None:
                 values["input_scaler"] = MinMaxScaler(mins=scaler["mins"], maxs=scaler["maxs"])
-            values["target_scale"] = float(values["target_scale"])
         return cls(**values)
     except KeyError as exc:
         raise MalformedModel(f"{schema} document has no {exc} key") from None

@@ -29,7 +29,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .dataset import DesignMatrix, _is_int
+from .dataset import DesignMatrix, _is_int, _is_real
 from .errors import DegreeOutOfRange, FeatureMismatch, RankDeficient, TooFewRows
 
 MIN_DEGREE, MAX_DEGREE = 2, 5
@@ -45,8 +45,8 @@ BLOCK_ROWS = 4096
 
 
 def _numbers(values) -> tuple[float, ...]:
-    """``values`` as floats; a bool or a string is refused, not read as a number."""
-    if any(isinstance(v, (bool, np.bool_, str)) for v in values):
+    """``values`` as floats; anything but a number (see ``_is_real``) is refused, not read as one."""
+    if not all(map(_is_real, values)):
         raise FeatureMismatch("model parameters must be numbers")
     return tuple(float(v) for v in values)
 
@@ -100,7 +100,7 @@ class PolynomialModel:
         if operator.index(self.degree) not in range(MIN_DEGREE, MAX_DEGREE + 1):
             raise FeatureMismatch(f"degree {self.degree!r} is not an integer in [{MIN_DEGREE}, {MAX_DEGREE}]")
         cond = self.condition_estimate
-        if isinstance(cond, bool) or not isinstance(cond, (int, float)) or not 1 <= cond < np.inf:
+        if not (_is_real(cond) and 1 <= cond < np.inf):
             raise FeatureMismatch(f"condition estimate {cond!r} is not a finite number >= 1")
         if any(len(t) != len(self.feature_names) or min(t, default=0) < 0 for t in self.terms):
             raise FeatureMismatch("each term needs one non-negative exponent per feature")

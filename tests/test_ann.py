@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -108,10 +109,15 @@ def test_model_invariants():
         replace(good, input_scaler=MinMaxScaler(mins=[0.0, 0.0], maxs=[25.0, 360.0]))
 
 
-@pytest.mark.parametrize("target_scale", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("target_scale", [math.nan, math.inf, 0.0, -1.0, True, "2"])
 def test_model_rejects_bad_target_scale(target_scale):
     with pytest.raises(InvalidArchitecture, match="target_scale"):
         narrow_net(w=[0.0] * 5, b=[0.0] * 5, target_scale=target_scale)
+
+
+def test_model_stores_target_scale_as_a_float():
+    net = narrow_net(w=[0.0] * 5, b=[0.0] * 5, target_scale=np.int64(2))
+    assert type(net.target_scale) is float and net.target_scale == 2.0
 
 
 # -- forward ------------------------------------------------------------------
@@ -221,7 +227,8 @@ def test_train_config_validation():
     with pytest.raises(InvalidConfig):
         TrainConfig(learning_rate=0.0)
     for learning_rate in (float("inf"), float("nan"), "x", True):
-        with pytest.raises(InvalidConfig, match="learning_rate must be a finite number > 0"):
+        message = f"^learning_rate must be finite and > 0, got {re.escape(repr(learning_rate))}$"
+        with pytest.raises(InvalidConfig, match=message):
             TrainConfig(learning_rate=learning_rate)
     with pytest.raises(InvalidConfig):
         TrainConfig(optimizer="rmsprop")
@@ -274,7 +281,7 @@ def test_train_batch_size_exceeds_rows():
         train(init_network(1, seed=0), m, TrainConfig(batch_size=16))
 
 
-@pytest.mark.parametrize("target_scale", [0.0, math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("target_scale", [0.0, math.nan, math.inf, -1.0, True, "2"])
 def test_train_rejects_bad_target_scale_before_first_epoch(monkeypatch, target_scale):
     steps = []
     monkeypatch.setattr(ann, "_loss_and_grads", lambda *args: steps.append(args))

@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import math
+import re
 import warnings
 from dataclasses import fields as dataclass_fields
 from dataclasses import is_dataclass, replace
@@ -331,14 +333,14 @@ def test_sweep_config_validation():
 @pytest.mark.parametrize(
     "grid, message",
     [
-        (dict(degrees=(2.7,)), "degrees must be integers"),
-        (dict(degrees=(3.0,)), "degrees must be integers"),
-        (dict(degrees=(True,)), "degrees must be integers"),
-        (dict(degrees=("2",)), "degrees must be integers"),
-        (dict(persistence_horizons=(1.9,)), "persistence_horizons must be integers"),
-        (dict(persistence_horizons=(False,)), "persistence_horizons must be integers"),
-        (dict(feature_sets=("speed",)), "feature_sets must be FeatureSet members"),
-        (dict(feature_sets=(FeatureSet.SPEED_ONLY, ("wind_speed",))), "feature_sets must be FeatureSet members"),
+        (dict(degrees=(2.7,)), "degree must be an integer, got 2.7"),
+        (dict(degrees=(3.0,)), "degree must be an integer, got 3.0"),
+        (dict(degrees=(True,)), "degree must be an integer, got True"),
+        (dict(degrees=("2",)), "degree must be an integer, got '2'"),
+        (dict(persistence_horizons=(1.9,)), "persistence_horizon must be an integer, got 1.9"),
+        (dict(persistence_horizons=(False,)), "persistence_horizon must be an integer, got False"),
+        (dict(feature_sets=("speed",)), r"feature_set must be one of .*, got 'speed'$"),
+        (dict(feature_sets=(FeatureSet.SPEED_ONLY, ("wind_speed",))), r"feature_set must be one of .*, got \('wind_speed',\)$"),
         (dict(train_fractions=(0.3,)), r"train_fraction must lie in \[0.5, 0.99\], got 0.3"),
         (dict(seed=1.5), "seed must be an integer, got 1.5"),
         (dict(seed=True), "seed must be an integer, got True"),
@@ -388,6 +390,62 @@ def test_configs_reject_negative_seed(config, fields):
     with pytest.raises(InvalidConfig, match="^seed must be >= 0, got -1$"):
         config(**fields, seed=-1)
     assert config(**fields, seed=0).seed == 0
+
+
+def _wrong_kind_cases():
+    """(config, field, value) for each field of the four configs and each value of the wrong kind."""
+    numbers = {
+        SyntheticConfig: [f.name for f in dataclass_fields(SyntheticConfig)],
+        SplitSpec: ["train_fraction", "seed"],
+        ann.TrainConfig: ["epochs", "batch_size", "learning_rate", "seed"],
+        SweepConfig: ["seed"],
+    }
+    for config, names in numbers.items():
+        for name in names:
+            for value in (True, "1", None, math.nan):
+                yield config, name, value
+    for value in (None, 1, True):
+        yield ann.TrainConfig, "optimizer", value
+    for value in (None, True, "adam", math.nan):
+        yield SweepConfig, "ann_train", value
+    # a scalar and a string per axis, then one-value axes of the wrong kind
+    axes = {
+        "train_fractions": (0.8, "0.8"),
+        "feature_sets": (FeatureSet.SPEED_ONLY, "speed"),
+        "degrees": (5, "5"),
+        "models": (None, "linear"),
+        "persistence_horizons": (1, "1"),
+    }
+    for axis, values in axes.items():
+        for value in (*values, (True,), ("1",), (None,), (math.nan,)):
+            yield SweepConfig, axis, value
+
+
+@pytest.mark.parametrize(
+    "config, name, value",
+    [pytest.param(*case, id=f"{case[0].__name__}-{case[1]}-{case[2]!r}") for case in _wrong_kind_cases()],
+)
+def test_configs_refuse_a_value_of_the_wrong_kind_naming_its_field(config, name, value):
+    required = {"train_fraction": 0.8, "seed": 0} if config is SplitSpec else {}
+    with pytest.raises(InvalidConfig, match=re.escape(name.removesuffix("s"))):
+        config(**{**required, name: value})
+
+
+def test_configs_store_numpy_scalars_as_plain_numbers():
+    synthetic = SyntheticConfig(n_samples=np.int64(5), noise_sd=np.float32(2.5), seed=np.int64(3))
+    spec = SplitSpec(train_fraction=np.float64(0.8), seed=np.int64(3))
+    train = ann.TrainConfig(epochs=np.int32(2), learning_rate=np.float64(0.01), seed=np.int64(3))
+    sweep = SweepConfig(train_fractions=np.array([0.8, 0.9]), seed=np.int64(3), ann_train=train)
+    ints = (synthetic.n_samples, synthetic.seed, spec.seed, train.epochs, train.seed, sweep.seed)
+    floats = (synthetic.noise_sd, spec.train_fraction, train.learning_rate, *sweep.train_fractions)
+    assert [type(v) for v in ints] == [int] * len(ints)
+    assert [type(v) for v in floats] == [float] * len(floats)
+
+
+def test_sweep_json_echoes_numpy_seeds_as_plain_ints():
+    numpy_seeds = SweepConfig(seed=np.int64(3), ann_train=ann.TrainConfig(seed=np.int64(3)))
+    plain_seeds = SweepConfig(seed=3, ann_train=ann.TrainConfig(seed=3))
+    assert sweep_json([], numpy_seeds) == sweep_json([], plain_seeds)
 
 
 def test_out_of_bounds_fraction_counts_unphysical_predictions(tiny_sweep):

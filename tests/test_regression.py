@@ -416,6 +416,7 @@ def test_polynomial_document_template_loads():
         _mlp_document(float("inf")),
         _mlp_document(0.0),
         _mlp_document(-1.0),
+        _mlp_document(True),
         '{"schema": ["windforecast.model.mlp.v1"]}',
         '{"schema": "windforecast.model.linear.v1", "intercept": 1.0, "coefficients": [1.0, 2.0], "feature_names": ["x"]}',
         json.dumps({**json.loads(_mlp_document(1.0)), "input_scaler": {"mins": [0.0]}}),
