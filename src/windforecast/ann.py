@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import DesignMatrix, MinMaxScaler, _csv_text, _integer, _is_real, _readonly, _real, _rng, fit_scaler
+from .dataset import DesignMatrix, MinMaxScaler, fit_scaler
+from .dataset import _csv_text, _integer, _is_int, _is_real, _readonly, _real, _rng
 from .errors import (
     DimensionMismatch,
     InvalidArchitecture,
@@ -117,7 +118,9 @@ class MlpModel:
     target_scale: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "layer_sizes", tuple(int(s) for s in self.layer_sizes))
+        if not all(map(_is_int, self.layer_sizes)):
+            raise InvalidArchitecture(f"layer widths must be integers, got {self.layer_sizes!r}")
+        object.__setattr__(self, "layer_sizes", tuple(map(int, self.layer_sizes)))
         object.__setattr__(self, "activations", tuple(self.activations))
         object.__setattr__(self, "weights", tuple(map(_readonly, self.weights)))
         object.__setattr__(self, "biases", tuple(map(_readonly, self.biases)))
@@ -167,12 +170,12 @@ def init_network(
     U(-1/sqrt(fan_in), 1/sqrt(fan_in)) using PCG64, layer by layer, so the
     same seed always reproduces the same parameters.
     """
-    if input_dim not in (1, 2, 3):
-        raise InvalidArchitecture(f"input_dim must be 1, 2 or 3, got {input_dim}")
+    if not (_is_int(input_dim) and input_dim in (1, 2, 3)):
+        raise InvalidArchitecture(f"input_dim must be 1, 2 or 3, got {input_dim!r}")
     if len(hidden) != HIDDEN_LAYERS:
         raise InvalidArchitecture(f"expected {HIDDEN_LAYERS} hidden widths, got {len(hidden)}")
-    if any(h < 1 for h in hidden):
-        raise InvalidArchitecture(f"all hidden widths must be >= 1, got {hidden}")
+    if not all(_is_int(h) and h >= 1 for h in hidden):
+        raise InvalidArchitecture(f"all hidden widths must be integers >= 1, got {hidden!r}")
     sizes = (input_dim, *hidden, 1)
     rng = _rng(seed)
     weights, biases = [], []

@@ -63,10 +63,15 @@ def _integer(name: str, value, low: int | None = None) -> int:
 
 def _real(name: str, value, low: int | None = None) -> float:
     """A config value as a plain float; refused unless a finite number (see ``_is_real``) > ``low``, if given."""
-    if not (_is_real(value) and math.isfinite(value) and (low is None or value > low)):
+    shown = None
+    try:
+        number = float(value) if _is_real(value) else math.nan
+    except OverflowError:  # an int beyond the float range, whose repr may be too long to make
+        number, shown = math.inf, "an integer beyond the float range"
+    if not (math.isfinite(number) and (low is None or number > low)):
         bound = "" if low is None else f" and > {low}"
-        raise InvalidConfig(f"{name} must be finite{bound}, got {value!r}")
-    return float(value)
+        raise InvalidConfig(f"{name} must be finite{bound}, got {shown or repr(value)}")
+    return number
 
 
 def _row_problems(columns: dict[str, np.ndarray], rated_power: float | None) -> list[tuple[int, str]]:
@@ -265,6 +270,15 @@ class SplitSpec:
             )
         object.__setattr__(self, "seed", _integer("seed", self.seed, 0))
 
+    def order(self, n: int) -> np.ndarray:
+        """The shuffled row order of an n-row dataset, a PCG64 permutation drawn from the seed alone."""
+        return _rng(self.seed).permutation(n)
+
+    def n_train(self, n: int) -> int:
+        """The train-row count of an n-row dataset: the train set is the first floor(n * train_fraction)
+        rows of ``order(n)``, so with one seed a smaller fraction's train set is a prefix of a larger one's."""
+        return math.floor(n * self.train_fraction)
+
 
 @dataclass(frozen=True)
 class MinMaxScaler:
@@ -426,18 +440,18 @@ def generate_synthetic(config: SyntheticConfig = SyntheticConfig()) -> Dataset:
 def split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     """Seeded random partition into train and test datasets.
 
-    Indices are shuffled with a PCG64 permutation; the first
-    floor(n * train_fraction) shuffled indices form the train set. Each side
-    keeps its rows in chronological order so both remain valid Datasets.
+    The first ``spec.n_train(n)`` rows of ``spec.order(n)`` form the train
+    set and the rest the test set. Each side keeps its rows in chronological
+    order so both remain valid Datasets.
     """
     n = len(dataset)
-    n_train = int(math.floor(n * spec.train_fraction))
+    n_train = spec.n_train(n)
     if n_train == 0 or n_train == n:
         raise DegenerateSplit(
             f"fraction {spec.train_fraction} of {n} rows leaves an empty train or test side"
         )
-    perm = _rng(spec.seed).permutation(n)
-    return dataset.take(np.sort(perm[:n_train])), dataset.take(np.sort(perm[n_train:]))
+    order = spec.order(n)
+    return dataset.take(np.sort(order[:n_train])), dataset.take(np.sort(order[n_train:]))
 
 
 def select_features(dataset: Dataset, fs: FeatureSet) -> DesignMatrix:
@@ -474,6 +488,18 @@ def decode_utf8(raw: bytes, what: str) -> str:
         raise DataError(f"{what} is not UTF-8: invalid byte at offset {exc.start}") from None
 
 
+def _csv_rows(reader):
+    """The rows of a csv ``reader``, with the ``csv.Error`` a line raises (a cell over
+    ``csv.field_size_limit()`` characters) in place of that line's row; reading resumes after it."""
+    while True:
+        try:
+            yield next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            yield exc
+
+
 def parse_csv(source, rated_power: float | None = None) -> Dataset:
     """Parse the canonical CSV format into a validated Dataset.
 
@@ -492,11 +518,12 @@ def parse_csv(source, rated_power: float | None = None) -> Dataset:
         source = source.read()
     if isinstance(source, bytes):
         source = decode_utf8(source, "input")
-    reader = csv.reader(source.splitlines())
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise EmptyInput("no content") from None
+    records = _csv_rows(csv.reader(source.splitlines()))
+    header = next(records, None)
+    if header is None:
+        raise EmptyInput("no content")
+    if isinstance(header, csv.Error):
+        raise MalformedHeader(f"header cannot be read: {header}")
     if tuple(h.strip() for h in header) != CSV_HEADER:
         raise MalformedHeader(f"expected header {','.join(CSV_HEADER)!r}, got {','.join(header)!r}")
 
@@ -504,10 +531,13 @@ def parse_csv(source, rated_power: float | None = None) -> Dataset:
     storage = [array("d") for _ in CSV_HEADER[1:]]
     failures: list[tuple[int, str]] = []
     row = 0
-    for fields in reader:
+    for fields in records:
         if not fields:
             continue
         row += 1
+        if isinstance(fields, csv.Error):
+            failures.append((row, str(fields)))
+            continue
         if len(fields) != len(CSV_HEADER):
             failures.append((row, f"expected {len(CSV_HEADER)} fields, got {len(fields)}"))
             continue

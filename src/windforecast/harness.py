@@ -216,8 +216,9 @@ def run_sweep(d: Dataset, cfg: SweepConfig = SweepConfig()) -> list[SweepRow]:
     """Evaluate every configuration of the grid on held-out test data.
 
     The split for a given fraction uses the sweep seed and is reused across
-    models and feature sets. The polynomial rows of one (fraction, feature set)
-    read one R factor, and the ANN rows of one fraction train once, as one stack:
+    models and feature sets. The polynomial rows of one feature set read their
+    R factors off one chain over the split's shuffled row order, with one stop per
+    fraction, and the ANN rows of one fraction train once, as one stack:
     a diverged network fails its own row, any other training error every ANN row.
     Each model row keeps the test matrix it is scored on, shared with the other
     rows of its (fraction, feature set), and each scored row its fitted model
@@ -225,9 +226,12 @@ def run_sweep(d: Dataset, cfg: SweepConfig = SweepConfig()) -> list[SweepRow]:
     Identical inputs yield an identical row list.
     """
 
+    def spec(fraction: float) -> SplitSpec:
+        return SplitSpec(train_fraction=fraction, seed=cfg.seed)
+
     @functools.cache
     def splits(fraction: float) -> tuple[Dataset, Dataset]:
-        return split(d, SplitSpec(train_fraction=fraction, seed=cfg.seed))
+        return split(d, spec(fraction))
 
     @functools.cache
     def matrices(fraction: float, fs: FeatureSet) -> tuple[DesignMatrix, DesignMatrix]:
@@ -235,8 +239,16 @@ def run_sweep(d: Dataset, cfg: SweepConfig = SweepConfig()) -> list[SweepRow]:
         return select_features(train_ds, fs), select_features(test_ds, fs)
 
     @functools.cache
+    def chain(fs: FeatureSet) -> dict[int, regression.LeastSquaresFactor]:
+        # the row order depends on the seed alone, so every fraction's train set is a prefix of it
+        specs = [spec(f) for f in cfg.train_fractions]
+        columns = [d.column(name) for name in fs.columns]
+        stops = [s.n_train(len(d)) for s in specs]
+        return regression.factor_prefixes(columns, d.column("power"), fs.columns, stops,
+                                          order=specs[0].order(len(d)))
+
     def factors(fraction: float, fs: FeatureSet) -> regression.LeastSquaresFactor:
-        return regression.factor_design(matrices(fraction, fs)[0])
+        return chain(fs)[spec(fraction).n_train(len(d))]
 
     @functools.cache
     def networks(fraction: float) -> dict:

@@ -8,16 +8,23 @@ one degree descending lexicographic exponent tuples. For features (x1, x2)
 and degree 2 the columns are x1, x2, x1^2, x1*x2, x2^2. This order is stable
 across releases; serialized models store their exponent tuples explicitly.
 
-Nested prefixes: under this order every degree's intercept-augmented design
+Nested column prefixes: under this order every degree's intercept-augmented design
 is a column prefix of the ``MAX_DEGREE`` design, and one R factor of the
 equilibrated ``[1 | expand(m, MAX_DEGREE) | y]`` answers every degree: p
 columns read R's leading p x p block and the first p entries of its last
-column (Q^T y). ``factor_design`` never holds that design whole: it applies
-Householder QR to each block of ``BLOCK_ROWS`` rows (sized for the cache), then
-to the stacked block Rs, until one R is left, and reads the equilibrating
-column norms from R (Q is orthogonal). Every step factors whole columns left
-to right, so the column-prefix contract holds, and a degree fits to the same
-bits alone or in a sweep; ``fit_ols`` factors its own ``[1 | x | y]``.
+column (Q^T y). ``factor_design`` never holds that design whole: it runs one
+sequential chain over the rows, ``R <- qr([R; design(block)])`` for each block
+of ``BLOCK_ROWS`` rows (sized for the cache), and reads the equilibrating column
+norms from R (Q is orthogonal). Every fold factors whole columns left to right,
+so the column-prefix contract holds, and a degree fits to the same bits alone
+or in a sweep; ``fit_ols`` factors its own ``[1 | x | y]``.
+
+Nested row prefixes: ``factor_prefixes`` reads the factor of several leading
+row counts off one chain, in any row order. The factor of s rows folds the
+whole blocks below s and then its own partial block once, so it is the same
+bits as ``factor_design`` of those s rows alone. The sweep's train sets are
+prefixes of one shuffled order, so one chain per feature set serves every
+train fraction.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dgeqrf
 
 from .dataset import DesignMatrix, _is_int, _is_real
 from .errors import DegreeOutOfRange, FeatureMismatch, RankDeficient, TooFewRows
@@ -157,14 +165,18 @@ def _polynomial_terms(k: int, degree: int) -> list[tuple[int, ...]]:
     return monomial_exponents(k, degree)
 
 
-def _design(rows: np.ndarray, target: np.ndarray, terms: list[tuple[int, ...]]) -> np.ndarray:
-    """Columns 1, the monomials ``terms`` of ``rows`` and ``target``, in one Fortran-ordered buffer."""
+def _design(rows: np.ndarray, target: np.ndarray, terms: list[tuple[int, ...]], head=None) -> np.ndarray:
+    """Columns 1, the monomials ``terms`` of ``rows`` and ``target``, in one Fortran-ordered buffer
+    below the rows of ``head``, if given."""
     n, k = rows.shape
-    a = np.empty((n, len(terms) + 2), order="F")
+    top = 0 if head is None else len(head)
+    a = np.empty((top + n, len(terms) + 2), order="F")
+    if head is not None:
+        a[:top] = head
     ones = np.ones(n)
     for j, e in enumerate([(0,) * k, *terms]):
-        a[:, j] = _times_monomial(rows, e, ones)
-    a[:, -1] = target
+        a[top:, j] = _times_monomial(rows, e, ones)
+    a[top:, -1] = target
     return a
 
 
@@ -206,28 +218,52 @@ class LeastSquaresFactor:
         return beta, float(np.linalg.cond(r * norms[np.newaxis, :]))
 
 
+def factor_prefixes(
+    columns, target: np.ndarray, feature_names: tuple[str, ...], stops,
+    degree: int = MAX_DEGREE, order: np.ndarray | None = None,
+) -> dict[int, LeastSquaresFactor]:
+    """The factor of the first s rows of the matrix of ``columns`` and ``target``, taken in
+    ``order`` (default: their own), for each row count s in ``stops``.
+
+    One chain serves every stop: the factor of s rows folds each whole block that
+    ends at or before s, then its own partial block once, so it is the same bits
+    whatever the other stops and equals ``factor_design`` of those s rows alone.
+    Each block's rows are indexed out of the columns, so no other matrix is built.
+    """
+    n = len(target)
+    if not all(_is_int(s) and 0 <= s <= n for s in stops):
+        raise TooFewRows(f"each stop must be a row count in [0, {n}], got {stops!r}")
+    terms = monomial_exponents(len(columns), degree)
+    names = ("intercept", *(_term_name(e, feature_names) for e in terms))
+
+    def fold(r: np.ndarray, start: int, stop: int) -> np.ndarray:
+        """R of ``r`` stacked on the design of rows start..stop."""
+        index = slice(start, stop) if order is None else order[start:stop]
+        block = np.column_stack([col[index] for col in (*columns, target)])
+        a = _design(block[:, :-1], block[:, -1], terms, head=r)
+        # LAPACK's Householder QR (dgeqrf, as np.linalg.qr uses) in place, without np.linalg.qr's two copies
+        return np.triu(dgeqrf(a, overwrite_a=True)[0][: min(a.shape)])
+
+    # the R of no rows: a 0-row prefix keeps it, and ``solve`` refuses it for too few rows
+    r, folded = np.zeros((0, len(terms) + 2)), 0
+    factors = {}
+    for stop in sorted(set(stops)):
+        while folded + BLOCK_ROWS <= stop:
+            r, folded = fold(r, folded, folded + BLOCK_ROWS), folded + BLOCK_ROWS
+        prefix = r if folded == stop else fold(r, folded, stop)
+        # equilibration, an exact reparameterization, keeps the rank test and the solve well
+        # scaled when monomial columns span many orders of magnitude; A's column norms are R's,
+        # so R with its columns divided by them is the R of the equilibrated design
+        norms = np.linalg.norm(prefix[:, :-1], axis=0)
+        scaled = prefix / np.append(np.where(norms == 0, 1.0, norms), 1.0)
+        factors[stop] = LeastSquaresFactor(scaled, norms, names, degree, tuple(feature_names), stop)
+    return factors
+
+
 def factor_design(m: DesignMatrix, degree: int = MAX_DEGREE) -> LeastSquaresFactor:
     """The factor of ``m``'s monomials up to ``degree``: 1 is the linear design,
     and every ``fit_polynomial`` of ``m`` reads the ``MAX_DEGREE`` factor."""
-    terms = monomial_exponents(m.k, degree)
-    # each reduction must shrink the stack, so a block has at least twice the columns;
-    # an empty matrix is one empty block, whose R ``solve`` refuses for too few rows
-    step = max(BLOCK_ROWS, 2 * (len(terms) + 2))
-    rs = [
-        np.linalg.qr(_design(m.rows[i : i + step], m.target[i : i + step], terms), mode="r")
-        for i in range(0, max(m.n, 1), step)
-    ]
-    while len(rs) > 1:
-        stack = np.vstack(rs)
-        rs = [np.linalg.qr(stack[i : i + step], mode="r") for i in range(0, len(stack), step)]
-    r = rs[0]
-    # equilibration, an exact reparameterization, keeps the rank test and the solve well
-    # scaled when monomial columns span many orders of magnitude; A's column norms are R's,
-    # so R with its columns divided by them is the R of the equilibrated design
-    norms = np.linalg.norm(r[:, :-1], axis=0)
-    r[:, :-1] /= np.where(norms == 0, 1.0, norms)
-    names = ("intercept", *(_term_name(e, m.feature_names) for e in terms))
-    return LeastSquaresFactor(r, norms, names, degree, m.feature_names, m.n)
+    return factor_prefixes(m.rows.T, m.target, m.feature_names, (m.n,), degree)[m.n]
 
 
 def fit_ols(m: DesignMatrix) -> LinearModel:

@@ -89,6 +89,20 @@ def test_init_architecture_validation():
         init_network(1, hidden=(8, 0, 8, 8), seed=0)
 
 
+@pytest.mark.parametrize("width", [True, 1.0, 8.9, "1", None])
+def test_layer_width_of_the_wrong_kind_is_refused(width):
+    with pytest.raises(InvalidArchitecture, match=r"^input_dim must be 1, 2 or 3, got "):
+        init_network(width, seed=0)
+    with pytest.raises(InvalidArchitecture, match=r"^all hidden widths must be integers >= 1, got \(8, "):
+        init_network(1, hidden=(8, width, 8, 8), seed=0)
+    good = init_network(1, seed=0)
+    with pytest.raises(InvalidArchitecture, match=r"^layer widths must be integers, got \(1, "):
+        replace(good, layer_sizes=(1, width, *good.layer_sizes[2:]))
+    # a numpy integer width is stored as a plain int
+    sizes = replace(good, layer_sizes=tuple(map(np.int64, good.layer_sizes))).layer_sizes
+    assert sizes == good.layer_sizes and all(type(s) is int for s in sizes)
+
+
 def test_model_invariants():
     good = init_network(1, seed=0)
     with pytest.raises(InvalidArchitecture):
@@ -217,6 +231,12 @@ def test_toy_line_learnable():
     _, history = train(net, m, cfg)
     assert len(history.losses) == 50
     assert history.losses[-1] < 0.01 * history.losses[0]
+
+
+def test_train_config_refuses_an_int_beyond_the_float_range():
+    message = "^learning_rate must be finite and > 0, got an integer beyond the float range$"
+    with pytest.raises(InvalidConfig, match=message):
+        TrainConfig(learning_rate=10**400)
 
 
 def test_train_config_validation():

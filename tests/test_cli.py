@@ -9,6 +9,7 @@ import pytest
 from windforecast import ann, cli, regression
 from windforecast.cli import _featured_row, main
 from windforecast.dataset import (
+    DesignMatrix,
     FeatureSet,
     SplitSpec,
     SyntheticConfig,
@@ -142,6 +143,16 @@ def test_non_utf8_data_exits_2(tmp_path, capsys):
     )
     assert run(["correlate", "--data", path, "--out-dir", tmp_path]) == 2
     assert "data error: input is not UTF-8: invalid byte at offset 94" in capsys.readouterr().err
+
+
+def test_cell_over_the_csv_field_limit_exits_2_naming_its_row(tmp_path, capsys):
+    path = tmp_path / "huge.csv"
+    path.write_text(
+        "timestamp,wind_speed,wind_direction,temperature,power\n"
+        f"2019-01-01T00:00:00,{'5' * 200_000},100.0,20.0,400.0\n"
+    )
+    assert run(["correlate", "--data", path, "--out-dir", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err == "data error: 1 invalid row(s): row 1: field larger than field limit (131072)\n"
 
 
 def test_missing_data_file_exits_2(tmp_path):
@@ -482,9 +493,13 @@ def test_reproduce_plots_the_sweep_models(tmp_path):
     net, history = ann.train(
         ann.init_network(3, seed=42), train_m, ann.TrainConfig(epochs=3, seed=42), target_scale=dataset.rated_power
     )
+    # the sweep's polynomial factor chains the train rows in the split's shuffled order
+    spec, full = SplitSpec(train_fraction=0.85, seed=42), select_features(dataset, fs)
+    shuffled = spec.order(2000)[: spec.n_train(2000)]
+    shuffled_m = DesignMatrix(full.rows[shuffled], full.target[shuffled], fs.columns)
     models = {
         "linear": regression.fit_ols(train_m),
-        "polynomial_deg5": regression.fit_polynomial(train_m, 5),
+        "polynomial_deg5": regression.fit_polynomial(shuffled_m, 5),
         "ann": net,
     }
     n_test = 2000 - int(2000 * 0.85)

@@ -1,3 +1,4 @@
+import csv
 import math
 from dataclasses import fields
 from datetime import datetime, timedelta, timezone
@@ -244,6 +245,18 @@ def test_parse_empty_input():
         parse_csv("")
     with pytest.raises(EmptyInput):
         parse_csv(HEADER + "\n")
+
+
+def test_parse_names_a_row_whose_cell_exceeds_the_csv_field_limit():
+    huge = "1" * (csv.field_size_limit() + 1)
+    text = _csv(["2019-01-01T00:00:00,5.0,100.0,20.0,400.0", f"2019-01-01T00:15:00,{huge},100.0,20.0,400.0",
+                 "", "2019-01-01T00:30:00,5.0,100.0,20.0,oops"])
+    with pytest.raises(RowParseError) as exc:
+        parse_csv(text)
+    assert exc.value.failures == (
+        (2, f"field larger than field limit ({csv.field_size_limit()})"), (3, "bad power value 'oops'"))
+    with pytest.raises(MalformedHeader, match=r"^header cannot be read: field larger than field limit"):
+        parse_csv(huge + "\n")
 
 
 def test_parse_collects_all_bad_rows():
@@ -511,6 +524,17 @@ def test_synthetic_config_validation():
 def test_synthetic_config_rejects_non_finite_floats(field, value):
     with pytest.raises(InvalidConfig, match=f"^{field} must be finite"):
         SyntheticConfig(**{field: value})
+
+
+@pytest.mark.parametrize("value", [10**400, -(10**400), 10**5000], ids=["1e400", "-1e400", "1e5000"])
+def test_configs_refuse_an_int_beyond_the_float_range_naming_the_field(value):
+    for make, message in [
+        (lambda: SyntheticConfig(noise_sd=value), "noise_sd must be finite"),
+        (lambda: SplitSpec(train_fraction=value, seed=0), "train_fraction must be finite"),
+        (lambda: toy_dataset([1.0], rated_power=value), "rated_power must be finite and > 0"),
+    ]:
+        with pytest.raises(InvalidConfig, match=f"^{message}, got an integer beyond the float range$"):
+            make()
 
 
 # -- split --------------------------------------------------------------------

@@ -165,7 +165,10 @@ def test_sweep_polynomial_rows_equal_fits_alone(tiny_sweep):
         assert shared.setdefault((r.train_fraction, r.feature_set), r.test) is r.test
     assert len(shared) == 6 * 4
     fs = FeatureSet.SPEED_DIRECTION_TEMPERATURE
-    train_m = select_features(split(d, SplitSpec(train_fraction=0.85, seed=cfg.seed))[0], fs)
+    # the sweep's factor chains the train rows in the split's shuffled order
+    spec, full = SplitSpec(train_fraction=0.85, seed=cfg.seed), select_features(d, fs)
+    train_rows = spec.order(len(d))[: spec.n_train(len(d))]
+    train_m = DesignMatrix(full.rows[train_rows], full.target[train_rows], fs.columns)
     swept = {
         r.degree: r.fitted for r in rows if (r.model, r.feature_set, r.train_fraction) == ("polynomial", fs, 0.85)
     }
@@ -188,6 +191,33 @@ def test_sweep_degree_too_large_for_its_rows_fails_alone():
     assert [(r.degree, r.error) for r in rows] == [
         (2, None), (3, None), (4, None), (5, "TooFewRows: need more than 55 rows, got 45")]
     assert all(r.report is not None for r in rows[:3])
+
+
+def test_sweep_polynomial_row_is_the_same_bits_alone_or_among_every_fraction():
+    # every train set folds two whole row blocks or more, and the largest three
+    d = generate_synthetic(SyntheticConfig(n_samples=3 * regression.BLOCK_ROWS + 1500, seed=8))
+    cfg = SweepConfig(feature_sets=(FeatureSet.SPEED_DIRECTION_TEMPERATURE,), models=("polynomial",))
+    together = run_sweep(d, cfg)
+    assert len(together) == 6 * 4 and all(r.error is None for r in together)
+    for fraction in cfg.train_fractions:
+        alone = run_sweep(d, replace(cfg, train_fractions=(fraction,)))
+        assert alone == [r for r in together if r.train_fraction == fraction]
+        assert [r.fitted for r in alone] == [r.fitted for r in together if r.train_fraction == fraction]
+
+
+def test_sweep_fraction_too_small_for_a_degree_fails_only_its_own_rows():
+    # 66 train rows at 0.95 fit degree 5 of three features (56 coefficients), 35 at 0.5 do not
+    d = generate_synthetic(SyntheticConfig(n_samples=70, seed=3))
+    cfg = SweepConfig(train_fractions=(0.95, 0.5), feature_sets=(FeatureSet.SPEED_DIRECTION_TEMPERATURE,),
+                      models=("polynomial",))
+    rows = run_sweep(d, cfg)
+    assert [(r.train_fraction, r.degree, r.error) for r in rows] == [
+        (0.95, 2, None), (0.95, 3, None), (0.95, 4, None), (0.95, 5, None),
+        (0.5, 2, None), (0.5, 3, None), (0.5, 4, None), (0.5, 5, "TooFewRows: need more than 55 rows, got 35")]
+    assert rows[:4] == run_sweep(d, replace(cfg, train_fractions=(0.95,)))
+    # one row: every fraction leaves an empty train side, and each row says so
+    one = run_sweep(generate_synthetic(SyntheticConfig(n_samples=1, seed=3)), cfg)
+    assert len(one) == 8 and all(r.error.startswith("DegenerateSplit: ") for r in one)
 
 
 def test_sweep_marks_each_ill_conditioned_polynomial_row_without_a_warning(tiny_sweep):

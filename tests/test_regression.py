@@ -25,6 +25,7 @@ from windforecast.regression import (
     PolynomialModel,
     expand_polynomial,
     factor_design,
+    factor_prefixes,
     fit_ols,
     fit_polynomial,
     monomial_exponents,
@@ -276,13 +277,13 @@ def test_fits_agree_with_lstsq_on_the_equilibrated_design(synthetic_5k, monkeypa
     train_ds, _ = split(synthetic_5k, SplitSpec(train_fraction=0.85, seed=42))
     cases = [(BLOCK_ROWS, select_features(train_ds, fs), (2, 3)) for fs in FeatureSet]
     # row counts at the block edges: a last block shorter than the 56 columns of
-    # the degree-5 design, and four blocks whose Rs are stacked and reduced
+    # the degree-5 design, and four blocks folded into one chain
     rng = np.random.default_rng(11)
     for n in (BLOCK_ROWS + 10, 3 * BLOCK_ROWS + 1):
         x = rng.uniform(-1.0, 1.0, (n, 3))
         y = 1.5 + expand_polynomial(dm(x, x[:, 0]), 5).rows @ rng.uniform(1.0, 2.0, 55) + rng.normal(0.0, 0.1, n)
         cases.append((BLOCK_ROWS, dm(x, y), (2, 3, 4, 5)))
-    # 120-row blocks: the stacked Rs outgrow one block and are reduced several times
+    # 120-row blocks: a long chain of blocks scarcely taller than the design is wide
     cases.append((120, cases[-1][1], (2, 3, 4, 5)))
     for block_rows, m, degrees in cases:
         monkeypatch.setattr(regression, "BLOCK_ROWS", block_rows)
@@ -309,6 +310,29 @@ def test_factor_design_never_holds_the_whole_design():
         tracemalloc.stop()
     # the whole degree-5 design [1 | 55 monomials | y] is n x 57 float64s
     assert peak < n * 57 * 8 / 4
+
+
+def test_each_prefix_of_a_chain_equals_that_prefix_factored_alone():
+    rng = np.random.default_rng(15)
+    n = 3 * BLOCK_ROWS + 50
+    m = dm(rng.uniform(0.0, 1.0, (n, 2)), rng.normal(0.0, 1.0, n))
+    # below one block, on a block boundary, just past one, and the whole matrix
+    stops = [0, 1, 40, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS, 3 * BLOCK_ROWS + 7, n]
+    for order in (None, rng.permutation(n)):
+        index = np.arange(n) if order is None else order
+        chained = factor_prefixes(m.rows.T, m.target, m.feature_names, stops, order=order)
+        assert sorted(chained) == stops
+        for s in stops:
+            alone = factor_design(dm(m.rows[index[:s]], m.target[index[:s]]))
+            one_stop = factor_prefixes(m.rows.T, m.target, m.feature_names, [s], order=order)[s]
+            for factor in (chained[s], one_stop):
+                assert np.array_equal(factor.r, alone.r)
+                assert np.array_equal(factor.norms, alone.norms)
+                assert (factor.names, factor.degree, factor.feature_names, factor.n) == (
+                    alone.names, alone.degree, alone.feature_names, s)
+    for bad in ([n + 1], [-1], [2.0], [True]):
+        with pytest.raises(TooFewRows):
+            factor_prefixes(m.rows.T, m.target, m.feature_names, bad)
 
 
 def test_fit_polynomial_refuses_a_factor_of_another_matrix():
