@@ -13,7 +13,6 @@ from .dataset import (
     physical_power,
     power_curve,
     select_features,
-    split,
     write_csv,
 )
 from .metrics import EvalReport, mae, r_squared, rmse
@@ -35,7 +34,6 @@ __all__ = [
     "parse_csv",
     "power_curve",
     "select_features",
-    "split",
     "write_csv",
     "mae",
     "rmse",

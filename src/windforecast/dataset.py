@@ -57,7 +57,11 @@ def _integer(name: str, value, low: int | None = None) -> int:
     if not _is_int(value):
         raise InvalidConfig(f"{name} must be an integer, got {value!r}")
     if low is not None and value < low:
-        raise InvalidConfig(f"{name} must be >= {low}, got {value}")
+        try:
+            shown = str(value)
+        except ValueError:  # below a small low, so negative, with more digits than str may print
+            shown = f"a negative integer of {int(value).bit_length()} bits"
+        raise InvalidConfig(f"{name} must be >= {low}, got {shown}")
     return int(value)
 
 
@@ -181,12 +185,6 @@ class Dataset:
         """Read-only float64 array for one of the four numeric columns."""
         return self._columns[name]
 
-    def take(self, index) -> "Dataset":
-        """The rows at ``index`` (a slice or an increasing integer array), validated anew."""
-        return Dataset(
-            self._records[index], *(col[index] for col in self._columns.values()), self._rated_power
-        )
-
 
 class FeatureSet(Enum):
     """Which regressor columns feed a model; wind speed is always first."""
@@ -278,6 +276,15 @@ class SplitSpec:
         """The train-row count of an n-row dataset: the train set is the first floor(n * train_fraction)
         rows of ``order(n)``, so with one seed a smaller fraction's train set is a prefix of a larger one's."""
         return math.floor(n * self.train_fraction)
+
+    def sides(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The train and test row indices of an n-row dataset: the first ``n_train(n)`` entries of
+        ``order(n)`` and the rest, each sorted ascending, so each side stays in chronological order."""
+        n_train = self.n_train(n)
+        if n_train == 0 or n_train == n:
+            raise DegenerateSplit(f"fraction {self.train_fraction} of {n} rows leaves an empty train or test side")
+        order = self.order(n)
+        return np.sort(order[:n_train]), np.sort(order[n_train:])
 
 
 @dataclass(frozen=True)
@@ -437,27 +444,12 @@ def generate_synthetic(config: SyntheticConfig = SyntheticConfig()) -> Dataset:
     return Dataset(timestamps, v, direction, temperature, power, config.rated_power)
 
 
-def split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
-    """Seeded random partition into train and test datasets.
-
-    The first ``spec.n_train(n)`` rows of ``spec.order(n)`` form the train
-    set and the rest the test set. Each side keeps its rows in chronological
-    order so both remain valid Datasets.
-    """
-    n = len(dataset)
-    n_train = spec.n_train(n)
-    if n_train == 0 or n_train == n:
-        raise DegenerateSplit(
-            f"fraction {spec.train_fraction} of {n} rows leaves an empty train or test side"
-        )
-    order = spec.order(n)
-    return dataset.take(np.sort(order[:n_train])), dataset.take(np.sort(order[n_train:]))
-
-
-def select_features(dataset: Dataset, fs: FeatureSet) -> DesignMatrix:
-    """Project the chosen feature columns; target is always the power column."""
-    rows = np.column_stack([dataset.column(name) for name in fs.columns])
-    return DesignMatrix(rows=rows, target=dataset.column("power"), feature_names=fs.columns)
+def select_features(dataset: Dataset, fs: FeatureSet, rows=slice(None)) -> DesignMatrix:
+    """Project the chosen feature columns of ``rows`` (a slice or ascending row indices, such as a
+    side of ``SplitSpec.sides``); target is always the power column. A Dataset's rows were validated
+    when it was made, and any of them in ascending order still are, so none is validated again."""
+    columns = np.column_stack([dataset.column(name)[rows] for name in fs.columns])
+    return DesignMatrix(rows=columns, target=dataset.column("power")[rows], feature_names=fs.columns)
 
 
 def _csv_text(header, rows) -> str:

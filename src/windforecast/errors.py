@@ -3,6 +3,8 @@
 Two base classes partition failures the way the CLI reports them:
 ``DataError`` for invalid inputs or configuration (exit code 2) and
 ``NumericError`` for failures inside a numeric routine (exit code 3).
+A class whose constructor takes more than a message pickles through
+``__reduce__``, so every exception crosses a process boundary intact.
 """
 
 
@@ -52,6 +54,9 @@ class RowParseError(DataError):
             text += f"; and {len(failing) - MAX_NAMED_ROWS} more row(s)"
         super().__init__(f"{len(failing)} invalid row(s): {text}")
 
+    def __reduce__(self):
+        return type(self), (self.failures,), self.__dict__
+
     @property
     def rows(self):
         return [i for i, _ in self.failures]
@@ -100,6 +105,9 @@ class RankDeficient(NumericError):
         self.columns = tuple(columns)
         super().__init__("design matrix is rank deficient in columns: %s" % (", ".join(self.columns)))
 
+    def __reduce__(self):
+        return type(self), (self.columns,), self.__dict__
+
 
 class FeatureMismatch(DataError):
     """Prediction input does not match the features the model was fit on."""
@@ -133,6 +141,9 @@ class NonFiniteLoss(NumericError):
             f"training diverged at epoch {epoch} (learning_rate={learning_rate}); "
             "try a smaller learning rate"
         )
+
+    def __reduce__(self):
+        return type(self), (self.epoch, self.learning_rate), self.__dict__
 
 
 # -- harness ------------------------------------------------------------------

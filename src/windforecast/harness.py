@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass
 import numpy as np
 
 from . import ann, regression
-from .dataset import Dataset, DesignMatrix, FeatureSet, MinMaxScaler, SplitSpec, select_features, split
+from .dataset import Dataset, DesignMatrix, FeatureSet, MinMaxScaler, SplitSpec, select_features
 from .dataset import _csv_text, _integer
 from .errors import DataError, FeatureMismatch, InvalidConfig, MalformedModel, SeriesTooShort
 from .metrics import EvalReport
@@ -215,14 +215,14 @@ def _grid(cfg: SweepConfig):
 def run_sweep(d: Dataset, cfg: SweepConfig = SweepConfig()) -> list[SweepRow]:
     """Evaluate every configuration of the grid on held-out test data.
 
-    The split for a given fraction uses the sweep seed and is reused across
-    models and feature sets. The polynomial rows of one feature set read their
-    R factors off one chain over the split's shuffled row order, with one stop per
-    fraction, and the ANN rows of one fraction train once, as one stack:
-    a diverged network fails its own row, any other training error every ANN row.
-    Each model row keeps the test matrix it is scored on, shared with the other
-    rows of its (fraction, feature set), and each scored row its fitted model
-    and, for the ANN, its loss history.
+    The split for a given fraction uses the sweep seed and is reused across models
+    and feature sets; every matrix is indexed out of ``d`` by the split's rows. The
+    polynomial rows of one feature set read their models off one chain over the split's
+    shuffled row order, with one stop per fraction, and the ANN rows of one fraction
+    train once, as one stack: a diverged network fails its own row, any other training
+    error every ANN row. Only test matrices are kept: each model row keeps the one it is
+    scored on, shared with the other rows of its (fraction, feature set), and each scored
+    row its fitted model and, for the ANN, its loss history.
     Identical inputs yield an identical row list.
     """
 
@@ -230,13 +230,12 @@ def run_sweep(d: Dataset, cfg: SweepConfig = SweepConfig()) -> list[SweepRow]:
         return SplitSpec(train_fraction=fraction, seed=cfg.seed)
 
     @functools.cache
-    def splits(fraction: float) -> tuple[Dataset, Dataset]:
-        return split(d, spec(fraction))
+    def sides(fraction: float) -> tuple[np.ndarray, np.ndarray]:
+        return spec(fraction).sides(len(d))
 
     @functools.cache
-    def matrices(fraction: float, fs: FeatureSet) -> tuple[DesignMatrix, DesignMatrix]:
-        train_ds, test_ds = splits(fraction)
-        return select_features(train_ds, fs), select_features(test_ds, fs)
+    def test_matrix(fraction: float, fs: FeatureSet) -> DesignMatrix:
+        return select_features(d, fs, sides(fraction)[1])
 
     @functools.cache
     def chain(fs: FeatureSet) -> dict[int, regression.LeastSquaresFactor]:
@@ -247,12 +246,9 @@ def run_sweep(d: Dataset, cfg: SweepConfig = SweepConfig()) -> list[SweepRow]:
         return regression.factor_prefixes(columns, d.column("power"), fs.columns, stops,
                                           order=specs[0].order(len(d)))
 
-    def factors(fraction: float, fs: FeatureSet) -> regression.LeastSquaresFactor:
-        return chain(fs)[spec(fraction).n_train(len(d))]
-
     @functools.cache
     def networks(fraction: float) -> dict:
-        trains = [matrices(fraction, fs)[0] for fs in cfg.feature_sets]
+        trains = [select_features(d, fs, sides(fraction)[0]) for fs in cfg.feature_sets]
         nets = [ann.init_network(m.k, seed=cfg.ann_train.seed) for m in trains]
         try:
             fits = ann.train_stack(nets, trains, cfg.ann_train, d.rated_power)
@@ -267,17 +263,17 @@ def run_sweep(d: Dataset, cfg: SweepConfig = SweepConfig()) -> list[SweepRow]:
             if fields["model"] == "persistence":
                 actual, predicted = persistence_forecast(d, fields["horizon"])
             else:
-                train_m, test_m = matrices(fields["train_fraction"], fields["feature_set"])
+                fraction, fs = fields["train_fraction"], fields["feature_set"]
+                test_m = test_matrix(fraction, fs)
                 if fields["model"] == "ann":
-                    fit = networks(fields["train_fraction"])[fields["feature_set"]]
+                    fit = networks(fraction)[fs]
                     if isinstance(fit, Exception):
                         raise fit
                     model, history = fit
                 elif fields["model"] == "polynomial":
-                    factor = factors(fields["train_fraction"], fields["feature_set"])
-                    model = regression.fit_polynomial(train_m, fields["degree"], factor=factor)
+                    model = chain(fs)[spec(fraction).n_train(len(d))].polynomial(fields["degree"])
                 else:
-                    model = regression.fit_ols(train_m)
+                    model = regression.fit_ols(select_features(d, fs, sides(fraction)[0]))
                 actual, predicted = test_m.target, predict_with(model, test_m)
             oob = float(np.mean((predicted < 0) | (predicted > d.rated_power)))
             report = EvalReport.from_predictions(actual, predicted)

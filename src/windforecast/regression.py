@@ -24,12 +24,11 @@ row counts off one chain, in any row order. The factor of s rows folds the
 whole blocks below s and then its own partial block once, so it is the same
 bits as ``factor_design`` of those s rows alone. The sweep's train sets are
 prefixes of one shuffled order, so one chain per feature set serves every
-train fraction.
+train fraction: ``LeastSquaresFactor.polynomial`` reads each degree off it.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
@@ -105,7 +104,7 @@ class PolynomialModel:
         object.__setattr__(self, "terms", tuple(tuple(int(e) for e in t) for t in self.terms))
         object.__setattr__(self, "coefficients", _numbers(self.coefficients))
         object.__setattr__(self, "feature_names", _names(self.feature_names))
-        if operator.index(self.degree) not in range(MIN_DEGREE, MAX_DEGREE + 1):
+        if not (_is_int(self.degree) and MIN_DEGREE <= self.degree <= MAX_DEGREE):
             raise FeatureMismatch(f"degree {self.degree!r} is not an integer in [{MIN_DEGREE}, {MAX_DEGREE}]")
         cond = self.condition_estimate
         if not (_is_real(cond) and 1 <= cond < np.inf):
@@ -217,6 +216,16 @@ class LeastSquaresFactor:
         # singular values of the raw matrix equal those of R * diag(norms)
         return beta, float(np.linalg.cond(r * norms[np.newaxis, :]))
 
+    def polynomial(self, degree: int) -> PolynomialModel:
+        """The least-squares polynomial of ``degree``, at most the factor's own, over the factor's rows;
+        an ill-conditioned fit is no failure (see ``PolynomialModel.ill_conditioned``)."""
+        k = len(self.feature_names)
+        terms = [(0,) * k, *_polynomial_terms(k, degree)]
+        if degree > self.degree:
+            raise DegreeOutOfRange(f"degree {degree} exceeds the factor's degree {self.degree}")
+        beta, cond = self.solve(len(terms))
+        return PolynomialModel(degree, tuple(terms), tuple(beta), self.feature_names, cond)
+
 
 def factor_prefixes(
     columns, target: np.ndarray, feature_names: tuple[str, ...], stops,
@@ -285,21 +294,10 @@ def predict_linear(model: LinearModel, m: DesignMatrix) -> np.ndarray:
     return model.intercept + m.rows @ np.asarray(model.coefficients)
 
 
-def fit_polynomial(m: DesignMatrix, degree: int, *, factor: LeastSquaresFactor | None = None) -> PolynomialModel:
-    """Equivalent to fit_ols after expand_polynomial, read from ``factor_design(m)``.
-
-    Pass ``factor`` to share one factorization across degrees; the model is
-    the same bits either way. Ill-conditioning is not a failure: the
-    condition estimate is stored on the model, and ``ill_conditioned`` reads
-    it against ``CONDITION_LIMIT``.
-    """
-    terms = [(0,) * m.k, *_polynomial_terms(m.k, degree)]
-    if factor is None:
-        factor = factor_design(m)
-    elif (factor.degree, factor.feature_names, factor.n) != (MAX_DEGREE, m.feature_names, m.n):
-        raise FeatureMismatch(f"factor is of degree {factor.degree} on {factor.n} rows of {factor.feature_names}")
-    beta, cond = factor.solve(len(terms))
-    return PolynomialModel(degree, tuple(terms), tuple(beta), m.feature_names, cond)
+def fit_polynomial(m: DesignMatrix, degree: int) -> PolynomialModel:
+    """Equivalent to fit_ols after expand_polynomial; to fit several degrees of ``m``,
+    factor it once and call ``polynomial`` on that factor for each."""
+    return factor_design(m).polynomial(degree)
 
 
 def predict_polynomial(model: PolynomialModel, m: DesignMatrix) -> np.ndarray:

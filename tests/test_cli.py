@@ -1,7 +1,6 @@
 import csv
 import json
 import re
-import sys
 
 import numpy as np
 import pytest
@@ -16,7 +15,6 @@ from windforecast.dataset import (
     generate_synthetic,
     parse_csv,
     select_features,
-    split,
 )
 from windforecast.errors import DataError, NonFiniteLoss, NumericError, TooFewRows
 from windforecast.harness import SweepConfig, SweepRow, plot_data, run_sweep
@@ -384,16 +382,14 @@ def test_plot_data_files(data_csv, tmp_path):
 )
 def test_plotting_commands_split_each_fraction_once(data_csv, tmp_path, monkeypatch, args, n_fractions):
     """The plot files come from the rows the sweep scored, not from a second split."""
-    original = split
+    original = SplitSpec.sides
     calls = []
 
-    def counting_split(*a, **kw):
-        calls.append(a[1].train_fraction)
-        return original(*a, **kw)
+    def counting_sides(spec, n):
+        calls.append(spec.train_fraction)
+        return original(spec, n)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("windforecast") and getattr(module, "split", None) is original:
-            monkeypatch.setattr(module, "split", counting_split)
+    monkeypatch.setattr(SplitSpec, "sides", counting_sides)
     argv = [str(data_csv) if a == "{data}" else a for a in args]
     assert run([*argv, "--out-dir", tmp_path / "out"]) == 0
     assert len(calls) == len(set(calls)) == n_fractions
@@ -486,9 +482,9 @@ def test_reproduce_plots_the_sweep_models(tmp_path):
     assert [r["r_squared"] for r in doc["rows"]] == [float(r["r_squared"]) for r in rows]
 
     dataset = generate_synthetic(SyntheticConfig(n_samples=2000, seed=42))
-    train_ds, test_ds = split(dataset, SplitSpec(train_fraction=0.85, seed=42))
     fs = FeatureSet.SPEED_DIRECTION_TEMPERATURE
-    train_m, test_m = select_features(train_ds, fs), select_features(test_ds, fs)
+    train_m, test_m = (select_features(dataset, fs, rows)
+                       for rows in SplitSpec(train_fraction=0.85, seed=42).sides(len(dataset)))
     # --quick caps the ANN at 3 epochs
     net, history = ann.train(
         ann.init_network(3, seed=42), train_m, ann.TrainConfig(epochs=3, seed=42), target_scale=dataset.rated_power

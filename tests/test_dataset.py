@@ -21,7 +21,6 @@ from windforecast.dataset import (
     parse_csv,
     power_curve,
     select_features,
-    split,
     write_csv,
     _check_order,
     _row_problems,
@@ -362,16 +361,6 @@ def test_dataset_rejects_columns_of_unequal_length():
         Dataset(_stamps(2), [5.0] * 2, [180.0] * 2, [15.0], [10.0] * 2, 2000.0)
 
 
-def test_take_selects_rows_and_validates_them():
-    d = toy_dataset([10.0, 20.0, 30.0, 40.0])
-    assert d.take(slice(2)) == toy_dataset([10.0, 20.0])
-    picked = d.take(np.array([1, 3]))
-    assert picked.column("power").tolist() == [20.0, 40.0]
-    assert list(picked.timestamps) == [d.timestamps[1], d.timestamps[3]]
-    with pytest.raises(NonMonotonicTimestamps):
-        d.take(np.array([3, 1]))
-
-
 # The per-row checks that the vectorized validator replaced, kept as its reference.
 def _reference_problems(row, rated_power):
     speed, direction, _, power = row
@@ -539,26 +528,29 @@ def test_configs_refuse_an_int_beyond_the_float_range_naming_the_field(value):
 
 # -- split --------------------------------------------------------------------
 
+def _split_matrices(d, spec, fs=FeatureSet.SPEED_ONLY):
+    return tuple(select_features(d, fs, rows) for rows in spec.sides(len(d)))
+
+
 def test_split_sizes_85_15():
     d = toy_dataset(np.linspace(0, 100, 100))
-    train, test = split(d, SplitSpec(train_fraction=0.85, seed=0))
-    assert len(train) == 85
-    assert len(test) == 15
+    train, test = _split_matrices(d, SplitSpec(train_fraction=0.85, seed=0))
+    assert train.n == 85
+    assert test.n == 15
 
 
 def test_split_deterministic_and_seed_sensitive():
     d = toy_dataset(np.arange(200, dtype=float))
-    a = split(d, SplitSpec(0.8, seed=11))
-    b = split(d, SplitSpec(0.8, seed=11))
-    c = split(d, SplitSpec(0.8, seed=12))
-    assert a[0] == b[0] and a[1] == b[1]
-    assert a[0] != c[0]
+    a = _split_matrices(d, SplitSpec(0.8, seed=11))
+    b = _split_matrices(d, SplitSpec(0.8, seed=11))
+    c = _split_matrices(d, SplitSpec(0.8, seed=12))
+    assert all(np.array_equal(x.rows, y.rows) and np.array_equal(x.target, y.target) for x, y in zip(a, b))
+    assert not np.array_equal(a[0].target, c[0].target)
 
 
 def test_split_degenerate():
-    d = toy_dataset([1.0])
-    with pytest.raises(DegenerateSplit):
-        split(d, SplitSpec(0.5, seed=0))
+    with pytest.raises(DegenerateSplit, match="^fraction 0.5 of 1 rows leaves an empty train or test side$"):
+        SplitSpec(0.5, seed=0).sides(1)
 
 
 def test_split_fraction_bounds():
@@ -568,36 +560,51 @@ def test_split_fraction_bounds():
         SplitSpec(0.995, seed=0)
 
 
+def test_split_seed_too_long_to_print_is_refused_by_its_size():
+    with pytest.raises(InvalidConfig, match="^seed must be >= 0, got a negative integer of 16610 bits$"):
+        SplitSpec(0.8, seed=-(10**5000))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
-    n=st.integers(min_value=2, max_value=250),
+    n=st.integers(min_value=1, max_value=250),
     fraction=st.floats(min_value=0.5, max_value=0.99),
     seed=st.integers(min_value=0, max_value=2**64 - 1),
 )
 def test_split_is_a_partition(n, fraction, seed):
-    d = toy_dataset(np.arange(n, dtype=float))
+    spec = SplitSpec(fraction, seed)
+    n_train = math.floor(n * fraction)
     try:
-        train, test = split(d, SplitSpec(fraction, seed))
+        train, test = spec.sides(n)
     except DegenerateSplit:
-        n_train = math.floor(n * fraction)
         assert n_train in (0, n)
         return
-    assert len(train) + len(test) == n
-    train_ts = set(train.timestamps)
-    test_ts = set(test.timestamps)
-    assert not train_ts & test_ts
-    assert train_ts | test_ts == set(d.timestamps)
+    for side in (train, test):
+        assert np.all(np.diff(side) > 0)
+    assert len(train) == n_train
+    assert np.array_equal(np.sort(np.concatenate([train, test])), np.arange(n))
+    assert np.array_equal(train, np.sort(spec.order(n)[:n_train]))
 
 
 def test_split_sides_stay_chronological():
     d = toy_dataset(np.arange(64, dtype=float))
-    train, test = split(d, SplitSpec(0.75, seed=3))
-    for side in (train, test):
-        stamps = list(side.timestamps)
+    for rows in SplitSpec(0.75, seed=3).sides(len(d)):
+        stamps = list(d.timestamps[rows])
         assert stamps == sorted(stamps)
 
 
 # -- select_features ----------------------------------------------------------
+
+def test_select_features_projects_the_given_rows():
+    d = toy_dataset(np.arange(10, dtype=float))
+    fs = FeatureSet.SPEED_DIRECTION_TEMPERATURE
+    full = select_features(d, fs)
+    for rows in (slice(4), np.array([1, 5, 8])):
+        m = select_features(d, fs, rows)
+        assert np.array_equal(m.rows, full.rows[rows])
+        assert np.array_equal(m.target, d.column("power")[rows])
+        assert m.feature_names == fs.columns
+
 
 def test_select_features_shapes_and_names():
     d = toy_dataset(np.arange(10, dtype=float))

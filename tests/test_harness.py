@@ -21,7 +21,6 @@ from windforecast.dataset import (
     SyntheticConfig,
     generate_synthetic,
     select_features,
-    split,
 )
 from windforecast.errors import FeatureMismatch, InvalidConfig, SeriesTooShort
 from windforecast.harness import (
@@ -124,6 +123,20 @@ def test_sweep_deterministic_reports(tiny_sweep):
     assert sweep_json(rows, cfg) == sweep_json(again, cfg)
 
 
+def test_sweep_constructs_no_dataset(tiny_sweep, monkeypatch):
+    """Every matrix is indexed straight out of the plant's columns: no row subset is a Dataset."""
+    d, cfg, rows = tiny_sweep
+    original, calls = Dataset.__init__, []
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(len(args[0]))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Dataset, "__init__", counting_init)
+    assert sweep_csv(run_sweep(d, cfg)) == sweep_csv(rows)
+    assert calls == []
+
+
 def test_sweep_single_row_reproducible(tiny_sweep):
     d, cfg, rows = tiny_sweep
     target = next(
@@ -157,8 +170,8 @@ def test_sweep_polynomial_rows_equal_fits_alone(tiny_sweep):
     assert [r.test for r in rows if r.model == "persistence"] == [None] * len(cfg.persistence_horizons)
     shared = {}
     for r in (r for r in rows if r.model != "persistence"):
-        test_m = select_features(split(d, SplitSpec(train_fraction=r.train_fraction, seed=cfg.seed))[1],
-                                 r.feature_set)
+        test_m = select_features(d, r.feature_set,
+                                 SplitSpec(train_fraction=r.train_fraction, seed=cfg.seed).sides(len(d))[1])
         assert np.array_equal(r.test.rows, test_m.rows)
         assert np.array_equal(r.test.target, test_m.target)
         assert r.test.feature_names == test_m.feature_names
@@ -176,7 +189,7 @@ def test_sweep_polynomial_rows_equal_fits_alone(tiny_sweep):
     factor = regression.factor_design(train_m)
     for degree, model in swept.items():
         for alone in (regression.fit_polynomial(train_m, degree),
-                      regression.fit_polynomial(train_m, degree, factor=factor)):
+                      factor.polynomial(degree)):
             assert alone.terms == model.terms
             assert alone.coefficients == model.coefficients
             assert alone.condition_estimate == model.condition_estimate
@@ -525,9 +538,8 @@ def test_power_curve_points_rows_and_sorting():
 
 
 def test_power_curve_linear_prediction_is_affine_in_speed(synthetic_5k):
-    train_ds, test_ds = split(synthetic_5k, SplitSpec(0.85, seed=1))
-    train_m = select_features(train_ds, FeatureSet.SPEED_ONLY)
-    test_m = select_features(test_ds, FeatureSet.SPEED_ONLY)
+    train_m, test_m = (select_features(synthetic_5k, FeatureSet.SPEED_ONLY, rows)
+                       for rows in SplitSpec(0.85, seed=1).sides(len(synthetic_5k)))
     model = regression.fit_ols(train_m)
     lines = plot_data(model, test_m)[0].strip().split("\n")[1:]
     for line in lines[:50]:
@@ -554,9 +566,8 @@ def test_pred_vs_actual_perfect_model_sits_on_identity():
 
 
 def test_ann_clusters_tighter_than_linear(synthetic_5k):
-    train_ds, test_ds = split(synthetic_5k, SplitSpec(0.85, seed=3))
-    train_m = select_features(train_ds, FeatureSet.SPEED_ONLY)
-    test_m = select_features(test_ds, FeatureSet.SPEED_ONLY)
+    train_m, test_m = (select_features(synthetic_5k, FeatureSet.SPEED_ONLY, rows)
+                       for rows in SplitSpec(0.85, seed=3).sides(len(synthetic_5k)))
     linear = regression.fit_ols(train_m)
     net, _ = ann.train(
         ann.init_network(1, seed=3),

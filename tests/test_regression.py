@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from windforecast import ann, regression
-from windforecast.dataset import DesignMatrix, FeatureSet, SplitSpec, select_features, split
+from windforecast.dataset import DesignMatrix, FeatureSet, SplitSpec, select_features
 from windforecast.errors import (
     DegreeOutOfRange,
     FeatureMismatch,
@@ -21,6 +21,8 @@ from windforecast.metrics import r_squared
 from windforecast.regression import (
     BLOCK_ROWS,
     CONDITION_LIMIT,
+    MAX_DEGREE,
+    MIN_DEGREE,
     LinearModel,
     PolynomialModel,
     expand_polynomial,
@@ -274,8 +276,8 @@ def test_polynomial_matches_expansion_plus_ols():
 
 
 def test_fits_agree_with_lstsq_on_the_equilibrated_design(synthetic_5k, monkeypatch):
-    train_ds, _ = split(synthetic_5k, SplitSpec(train_fraction=0.85, seed=42))
-    cases = [(BLOCK_ROWS, select_features(train_ds, fs), (2, 3)) for fs in FeatureSet]
+    train_rows, _ = SplitSpec(train_fraction=0.85, seed=42).sides(len(synthetic_5k))
+    cases = [(BLOCK_ROWS, select_features(synthetic_5k, fs, train_rows), (2, 3)) for fs in FeatureSet]
     # row counts at the block edges: a last block shorter than the 56 columns of
     # the degree-5 design, and four blocks folded into one chain
     rng = np.random.default_rng(11)
@@ -335,16 +337,22 @@ def test_each_prefix_of_a_chain_equals_that_prefix_factored_alone():
             factor_prefixes(m.rows.T, m.target, m.feature_names, bad)
 
 
-def test_fit_polynomial_refuses_a_factor_of_another_matrix():
+def test_factor_polynomial_equals_fit_polynomial_and_refuses_a_higher_degree():
     rng = np.random.default_rng(9)
     m = dm(rng.uniform(0.0, 1.0, (30, 2)), rng.normal(0.0, 1.0, 30))
-    fewer = dm(m.rows[:20], m.target[:20])
-    with pytest.raises(FeatureMismatch):
-        fit_polynomial(m, 2, factor=factor_design(fewer))
-    with pytest.raises(FeatureMismatch):
-        fit_polynomial(m, 2, factor=factor_design(dm(m.rows, m.target, names=("a", "b"))))
-    with pytest.raises(FeatureMismatch):
-        fit_polynomial(m, 2, factor=factor_design(m, 2))
+    factor = factor_design(m)
+    for degree in range(MIN_DEGREE, MAX_DEGREE + 1):
+        shared, alone = factor.polynomial(degree), fit_polynomial(m, degree)
+        assert (shared.terms, shared.coefficients, shared.condition_estimate) == (
+            alone.terms, alone.coefficients, alone.condition_estimate)
+    with pytest.raises(DegreeOutOfRange, match="^degree 3 exceeds the factor's degree 2$"):
+        factor_design(m, 2).polynomial(3)
+
+
+@pytest.mark.parametrize("degree", [2.5, 2.0, "2", True, np.float64(3.0), 6])
+def test_polynomial_model_refuses_a_degree_that_is_no_integer_in_range(degree):
+    with pytest.raises(FeatureMismatch, match=r"is not an integer in \[2, 5\]$"):
+        PolynomialModel(degree, ((0,), (1,)), (1.0, 2.0), ("a",), 10.0)
 
 
 def test_ill_conditioned_fit_on_wild_scales_is_marked_without_a_warning():
