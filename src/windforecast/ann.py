@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import DesignMatrix, MinMaxScaler, fit_scaler
-from .dataset import _csv_text, _integer, _is_int, _is_real, _readonly, _real, _rng
+from .dataset import _csv_text, _integer, _is_int, _real, _reals, _rng
 from .errors import (
     DimensionMismatch,
     InvalidArchitecture,
@@ -122,8 +122,10 @@ class MlpModel:
             raise InvalidArchitecture(f"layer widths must be integers, got {self.layer_sizes!r}")
         object.__setattr__(self, "layer_sizes", tuple(map(int, self.layer_sizes)))
         object.__setattr__(self, "activations", tuple(self.activations))
-        object.__setattr__(self, "weights", tuple(map(_readonly, self.weights)))
-        object.__setattr__(self, "biases", tuple(map(_readonly, self.biases)))
+        for name in ("weights", "biases"):
+            layers = enumerate(getattr(self, name))
+            arrays = [_reals(f"layer {l} {name}", a, InvalidArchitecture) for l, a in layers]
+            object.__setattr__(self, name, tuple(arrays))
         sizes = self.layer_sizes
         if len(sizes) != HIDDEN_LAYERS + 2:
             raise InvalidArchitecture(f"expected {HIDDEN_LAYERS} hidden layers, sizes={sizes}")
@@ -147,11 +149,8 @@ class MlpModel:
                 )
             if b.shape != (sizes[l + 1],):
                 raise InvalidArchitecture(f"layer {l} bias has shape {b.shape}")
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                raise InvalidArchitecture(f"layer {l} has non-finite parameters")
-        if not (_is_real(self.target_scale) and np.isfinite(self.target_scale) and self.target_scale > 0):
-            raise InvalidArchitecture(f"target_scale must be finite and > 0, got {self.target_scale!r}")
-        object.__setattr__(self, "target_scale", float(self.target_scale))
+        target_scale = _real("target_scale", self.target_scale, 0, InvalidArchitecture)
+        object.__setattr__(self, "target_scale", target_scale)
         width = sizes[0] if self.input_scaler is None else len(self.input_scaler.mins)
         if width != sizes[0]:
             raise InvalidArchitecture(f"input scaler has {width} features, the network {sizes[0]}")

@@ -47,11 +47,6 @@ def _is_int(value) -> bool:
     return not isinstance(value, bool) and isinstance(value, (int, np.integer))
 
 
-def _is_real(value) -> bool:
-    """Whether ``value`` is an int, float or numpy number; a bool or a string is not, so none is misread."""
-    return _is_int(value) or isinstance(value, (float, np.floating))
-
-
 def _integer(name: str, value, low: int | None = None) -> int:
     """A config value as a plain int; refused unless an integer (see ``_is_int``) >= ``low``, if given."""
     if not _is_int(value):
@@ -65,17 +60,27 @@ def _integer(name: str, value, low: int | None = None) -> int:
     return int(value)
 
 
-def _real(name: str, value, low: int | None = None) -> float:
-    """A config value as a plain float; refused unless a finite number (see ``_is_real``) > ``low``, if given."""
+def _real(name: str, value, low: int | None = None, error: type[DataError] = InvalidConfig) -> float:
+    """A config value or model parameter as a plain float; refused with ``error`` unless an int, float or
+    numpy number (a bool or a string is not, so none is misread) that is finite and > ``low``, if given."""
     shown = None
     try:
-        number = float(value) if _is_real(value) else math.nan
+        number = float(value) if _is_int(value) or isinstance(value, (float, np.floating)) else math.nan
     except OverflowError:  # an int beyond the float range, whose repr may be too long to make
         number, shown = math.inf, "an integer beyond the float range"
     if not (math.isfinite(number) and (low is None or number > low)):
         bound = "" if low is None else f" and > {low}"
-        raise InvalidConfig(f"{name} must be finite{bound}, got {shown or repr(value)}")
+        raise error(f"{name} must be finite{bound}, got {shown or repr(value)}")
     return number
+
+
+def _reals(name: str, values, error: type[DataError] = InvalidConfig) -> np.ndarray:
+    """Numbers as a read-only float64 array: a finite float64 array is copied as it is,
+    anything else is checked entry by entry with ``_real``, so no bool or string is read as a number."""
+    if not (isinstance(values, np.ndarray) and values.dtype == np.float64 and np.isfinite(values).all()):
+        entries = np.asarray(values, dtype=object)
+        values = np.array([_real(name, v, error=error) for v in entries.flat]).reshape(entries.shape)
+    return _readonly(values)
 
 
 def _row_problems(columns: dict[str, np.ndarray], rated_power: float | None) -> list[tuple[int, str]]:
@@ -295,12 +300,12 @@ class MinMaxScaler:
     maxs: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "mins", _readonly(self.mins))
-        object.__setattr__(self, "maxs", _readonly(self.maxs))
+        object.__setattr__(self, "mins", _reals("mins", self.mins))
+        object.__setattr__(self, "maxs", _reals("maxs", self.maxs))
         if self.mins.ndim != 1 or self.mins.shape != self.maxs.shape:
             raise InvalidConfig("mins and maxs must be 1-D arrays of matching shapes")
-        if not np.all(np.isfinite(self.mins) & np.isfinite(self.maxs) & (self.maxs >= self.mins)):
-            raise InvalidConfig("mins and maxs must be finite, with max >= min for every feature")
+        if not np.all(self.maxs >= self.mins):
+            raise InvalidConfig("mins and maxs need max >= min for every feature")
 
     def transform_array(self, x: np.ndarray) -> np.ndarray:
         span = self.maxs - self.mins

@@ -170,7 +170,7 @@ def from_json(text: str):
     """The model a ``to_json`` document describes; its constructor validates every field."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal past int's digit limit
         raise MalformedModel(f"model document is not JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise MalformedModel(f"model document must be a JSON object, got {type(doc).__name__}")
@@ -183,7 +183,7 @@ def from_json(text: str):
         if cls is ann.MlpModel:
             sizes, scaler = values["layer_sizes"], values["input_scaler"]
             values["weights"] = [
-                np.asarray(w, dtype=np.float64).reshape(sizes[l + 1], sizes[l])
+                np.asarray(w, dtype=object).reshape(sizes[l + 1], sizes[l])
                 for l, w in enumerate(values["weights"])
             ]
             if scaler is not None:

@@ -36,7 +36,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dgeqrf
 
-from .dataset import DesignMatrix, _is_int, _is_real
+from .dataset import DesignMatrix, _is_int, _real
 from .errors import DegreeOutOfRange, FeatureMismatch, RankDeficient, TooFewRows
 
 MIN_DEGREE, MAX_DEGREE = 2, 5
@@ -49,13 +49,6 @@ _RANK_TOL = 1e-10
 # Rows of the design built and factored at a time: a 4,096-row block of the 57-column
 # degree-5 design is 1.9 MB and stays in cache; 1,024 to 4,096 rows ran alike, 16,384 slower
 BLOCK_ROWS = 4096
-
-
-def _numbers(values) -> tuple[float, ...]:
-    """``values`` as floats; anything but a number (see ``_is_real``) is refused, not read as one."""
-    if not all(map(_is_real, values)):
-        raise FeatureMismatch("model parameters must be numbers")
-    return tuple(float(v) for v in values)
 
 
 def _names(values) -> tuple[str, ...]:
@@ -73,14 +66,12 @@ class LinearModel:
     feature_names: tuple[str, ...]
 
     def __post_init__(self):
-        intercept, *coefficients = _numbers((self.intercept, *self.coefficients))
-        object.__setattr__(self, "intercept", intercept)
-        object.__setattr__(self, "coefficients", tuple(coefficients))
+        object.__setattr__(self, "intercept", _real("intercept", self.intercept, error=FeatureMismatch))
+        coefficients = tuple(_real("coefficient", c, error=FeatureMismatch) for c in self.coefficients)
+        object.__setattr__(self, "coefficients", coefficients)
         object.__setattr__(self, "feature_names", _names(self.feature_names))
         if len(self.coefficients) != len(self.feature_names):
             raise FeatureMismatch("coefficient count does not match feature names")
-        if not np.all(np.isfinite([self.intercept, *self.coefficients])):
-            raise FeatureMismatch("model parameters must be finite")
 
 
 @dataclass(frozen=True)
@@ -102,13 +93,15 @@ class PolynomialModel:
         if not all(_is_int(e) for t in self.terms for e in t):
             raise FeatureMismatch("each exponent must be an integer")
         object.__setattr__(self, "terms", tuple(tuple(int(e) for e in t) for t in self.terms))
-        object.__setattr__(self, "coefficients", _numbers(self.coefficients))
+        coefficients = tuple(_real("coefficient", c, error=FeatureMismatch) for c in self.coefficients)
+        object.__setattr__(self, "coefficients", coefficients)
         object.__setattr__(self, "feature_names", _names(self.feature_names))
         if not (_is_int(self.degree) and MIN_DEGREE <= self.degree <= MAX_DEGREE):
             raise FeatureMismatch(f"degree {self.degree!r} is not an integer in [{MIN_DEGREE}, {MAX_DEGREE}]")
-        cond = self.condition_estimate
-        if not (_is_real(cond) and 1 <= cond < np.inf):
-            raise FeatureMismatch(f"condition estimate {cond!r} is not a finite number >= 1")
+        cond = _real("condition_estimate", self.condition_estimate, error=FeatureMismatch)
+        if cond < 1:
+            raise FeatureMismatch(f"condition_estimate must be >= 1, got {cond!r}")
+        object.__setattr__(self, "condition_estimate", cond)
         if any(len(t) != len(self.feature_names) or min(t, default=0) < 0 for t in self.terms):
             raise FeatureMismatch("each term needs one non-negative exponent per feature")
         if len(self.terms) != len(set(self.terms)):
@@ -117,8 +110,6 @@ class PolynomialModel:
             raise FeatureMismatch("coefficient count does not match terms")
         if any(sum(t) > self.degree for t in self.terms):
             raise FeatureMismatch("term exceeds the model degree")
-        if not np.all(np.isfinite(self.coefficients)):
-            raise FeatureMismatch("model parameters must be finite")
 
     @property
     def ill_conditioned(self) -> bool:

@@ -31,7 +31,7 @@ def pearson(x, y) -> float:
     if sxx == 0.0 or syy == 0.0:
         raise ConstantInput("constant input vector")
     r = float(dx @ dy) / np.sqrt(sxx * syy)
-    return float(min(1.0, max(-1.0, r)))
+    return float(np.clip(r, -1.0, 1.0))  # NaN stays NaN
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 import csv
+import functools
 import io
 import json
 import math
+import operator
 import re
 import warnings
 from dataclasses import fields as dataclass_fields
@@ -10,6 +12,8 @@ from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from windforecast import ann, harness, regression
 from windforecast.dataset import (
@@ -22,7 +26,7 @@ from windforecast.dataset import (
     generate_synthetic,
     select_features,
 )
-from windforecast.errors import FeatureMismatch, InvalidConfig, SeriesTooShort
+from windforecast.errors import FeatureMismatch, InvalidConfig, MalformedModel, SeriesTooShort
 from windforecast.harness import (
     SweepConfig,
     from_json,
@@ -742,3 +746,37 @@ def test_model_documents_are_pinned():
     for model, document in _pinned_models():
         assert to_json(model) == document
         assert _leaves(from_json(document)) == _leaves(model)
+
+
+def _document_paths(node, path=()):
+    """The path (keys and list indices) to every scalar of a JSON document."""
+    if not isinstance(node, (dict, list)):
+        yield path
+        return
+    for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+        yield from _document_paths(child, (*path, key))
+
+
+# JSON values that are no model parameter, and plain numbers, which may be one
+_HOSTILE_VALUES = st.one_of(
+    st.sampled_from([True, False, None, math.nan, math.inf, -math.inf, 10**400, -10**400, {}]),
+    st.text(max_size=3),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=2),
+    st.integers(),
+    st.floats(),
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_hostile_value_at_any_document_leaf_is_refused_or_round_trips(data):
+    for _, document in _pinned_models():
+        for path in _document_paths(json.loads(document)):
+            doc = json.loads(document)
+            *parents, last = path
+            functools.reduce(operator.getitem, parents, doc)[last] = data.draw(_HOSTILE_VALUES, label=repr(path))
+            try:
+                model = from_json(json.dumps(doc))
+            except MalformedModel:
+                continue
+            assert _leaves(from_json(to_json(model))) == _leaves(model)

@@ -413,6 +413,19 @@ def _mlp_document(target_scale, **fields):
     return json.dumps({**doc, "target_scale": target_scale, **fields})
 
 
+def _mlp_weight_document(layer, field, value):
+    """A valid 1-input MLP document whose first entry of ``field`` ("weights" or "biases") in ``layer`` is ``value``."""
+    doc = json.loads(_mlp_document(1.0))
+    doc[field][layer][0] = value
+    return json.dumps(doc)
+
+
+def _linear_document(**fields):
+    """A valid one-feature linear document except for ``fields``."""
+    doc = {"schema": "windforecast.model.linear.v1", "intercept": 1.0, "coefficients": [2.0], "feature_names": ["x"]}
+    return json.dumps({**doc, **fields})
+
+
 def _polynomial_document(**fields):
     """A valid degree-2 document over features (a, b) except for ``fields``."""
     doc = {
@@ -478,6 +491,21 @@ def test_polynomial_document_template_loads():
         '{"schema": "windforecast.model.linear.v1", "intercept": 1.0, "coefficients": [1.0], "feature_names": [3]}',
         _polynomial_document(coefficients=[1.0, True, 3.0]),
         _polynomial_document(feature_names=["a", 2]),
+        # a bool is no number, and an integer beyond the float range no finite one
+        _mlp_weight_document(0, "weights", True),
+        _mlp_weight_document(2, "biases", True),
+        _mlp_document(1.0, input_scaler={"mins": [True], "maxs": [25.0]}),
+        _mlp_document(1.0, input_scaler={"mins": [0.0], "maxs": [True]}),
+        _linear_document(intercept=10**400),
+        _linear_document(coefficients=[-(10**400)]),
+        _polynomial_document(coefficients=[1.0, 10**400, 3.0]),
+        _polynomial_document(condition_estimate=10**400),
+        _mlp_weight_document(1, "weights", -(10**400)),
+        _mlp_weight_document(4, "biases", 10**400),
+        _mlp_document(1.0, input_scaler={"mins": [0.0], "maxs": [10**400]}),
+        _mlp_document(10**400),
+        # an integer literal past the digit limit of int parsing
+        '{"intercept": ' + "9" * 5000 + "}",
     ],
 )
 def test_malformed_model_document_raises_data_error(text):
@@ -490,3 +518,9 @@ def test_linear_document_integer_parameters_load_as_floats():
     model = from_json(doc)
     assert type(model.intercept) is float and model.coefficients == (2.0,)
     assert '"intercept": 1.0' in to_json(model)
+
+
+def test_polynomial_document_integer_condition_estimate_loads_as_a_float():
+    model = from_json(_polynomial_document(condition_estimate=10))
+    assert type(model.condition_estimate) is float
+    assert '"condition_estimate": 10.0' in to_json(model)

@@ -49,6 +49,12 @@ def test_pearson_errors():
         pearson([1.0], [2.0])
 
 
+@pytest.mark.parametrize("x", [[math.nan, 2.0, 3.0], [1.0, math.nan, 3.0]])
+def test_pearson_of_nan_input_is_nan(x):
+    assert math.isnan(pearson(x, [1.0, 2.0, 4.0]))
+    assert math.isnan(pearson([1.0, 2.0, 4.0], x))
+
+
 # offsets are kept within ~1e3 standard deviations of the scaled data:
 # beyond that the centering step itself loses more than 1e-12
 @settings(max_examples=60, deadline=None)
