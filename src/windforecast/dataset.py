@@ -15,6 +15,7 @@ from array import array
 from dataclasses import dataclass, fields
 from datetime import datetime, timedelta
 from enum import Enum
+from itertools import islice
 
 import numpy as np
 from scipy.special import ndtr
@@ -485,9 +486,16 @@ def decode_utf8(raw: bytes, what: str) -> str:
         raise DataError(f"{what} is not UTF-8: invalid byte at offset {exc.start}") from None
 
 
+# Data rows that parse_csv converts at a time. Kept small because a block's row lists then die
+# young, so the cyclic garbage collector never walks them: on 120,360 rows (one thread), blocks
+# of 256 parsed in 0.29 s, of 1,024 in 0.34 s, of 4,096 in 0.36 s and the whole file in 0.47 s.
+_BLOCK_ROWS = 256
+
+
 def _csv_rows(reader):
     """The rows of a csv ``reader``, with the ``csv.Error`` a line raises (a cell over
-    ``csv.field_size_limit()`` characters) in place of that line's row; reading resumes after it."""
+    ``csv.field_size_limit()`` characters) in place of that line's row; reading resumes after it.
+    ``parse_csv`` consumes it ``_BLOCK_ROWS`` rows at a time."""
     while True:
         try:
             yield next(reader)
@@ -528,31 +536,48 @@ def parse_csv(source, rated_power: float | None = None) -> Dataset:
     storage = [array("d") for _ in CSV_HEADER[1:]]
     failures: list[tuple[int, str]] = []
     row = 0
-    for fields in records:
-        if not fields:
-            continue
-        row += 1
-        if isinstance(fields, csv.Error):
-            failures.append((row, str(fields)))
-            continue
-        if len(fields) != len(CSV_HEADER):
-            failures.append((row, f"expected {len(CSV_HEADER)} fields, got {len(fields)}"))
-            continue
-        try:
-            ts = datetime.fromisoformat(fields[0].strip())
-        except ValueError:
-            failures.append((row, f"bad timestamp {fields[0]!r}"))
-            continue
-        values = []
-        for name, raw in zip(CSV_HEADER[1:], fields[1:]):
+    while block := list(islice(records, _BLOCK_ROWS)):
+        # a block of well-formed rows is converted column by column, by the functions the row
+        # loop below calls on each cell; any other block, and one where a cell fails, goes
+        # through that loop, the one place a row is judged and a failure named
+        if all(type(fields) is list and len(fields) == len(CSV_HEADER) for fields in block):
+            cells = list(zip(*block))
             try:
-                values.append(float(raw))
+                stamps = list(map(datetime.fromisoformat, map(str.strip, cells[0])))
+                values = [list(map(float, column)) for column in cells[1:]]
             except ValueError:
-                failures.append((row, f"bad {name} value {raw!r}"))
-        if len(values) == len(storage):
-            timestamps.append(ts)
-            for col, x in zip(storage, values):
-                col.append(x)
+                pass
+            else:
+                timestamps += stamps
+                for col, converted in zip(storage, values):
+                    col.extend(converted)
+                row += len(block)
+                continue
+        for fields in block:
+            if not fields:
+                continue
+            row += 1
+            if isinstance(fields, csv.Error):
+                failures.append((row, str(fields)))
+                continue
+            if len(fields) != len(CSV_HEADER):
+                failures.append((row, f"expected {len(CSV_HEADER)} fields, got {len(fields)}"))
+                continue
+            try:
+                ts = datetime.fromisoformat(fields[0].strip())
+            except ValueError:
+                failures.append((row, f"bad timestamp {fields[0]!r}"))
+                continue
+            values = []
+            for name, raw in zip(CSV_HEADER[1:], fields[1:]):
+                try:
+                    values.append(float(raw))
+                except ValueError:
+                    failures.append((row, f"bad {name} value {raw!r}"))
+            if len(values) == len(storage):
+                timestamps.append(ts)
+                for col, x in zip(storage, values):
+                    col.append(x)
 
     columns = dict(zip(CSV_HEADER[1:], map(np.frombuffer, storage)))
     # data row number of each parsed row: every row that failed to parse is skipped

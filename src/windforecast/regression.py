@@ -140,12 +140,18 @@ def _term_name(exponents: tuple[int, ...], feature_names: tuple[str, ...]) -> st
     return "*".join(parts) if parts else "1"
 
 
-def _times_monomial(rows: np.ndarray, exponents: tuple[int, ...], start: np.ndarray) -> np.ndarray:
-    """``start`` times the monomial ``exponents`` of ``rows``, factor by factor in feature order."""
+def _powers(rows: np.ndarray, terms) -> dict[tuple[int, int], np.ndarray]:
+    """``rows[:, feat] ** exp`` for each (feat, exp) of a monomial in ``terms``, each computed once."""
+    pairs = {(feat, exp) for term in terms for feat, exp in enumerate(term) if exp}
+    return {(feat, exp): rows[:, feat] ** exp for feat, exp in pairs}
+
+
+def _times_monomial(powers: dict, exponents: tuple[int, ...], start: np.ndarray) -> np.ndarray:
+    """``start`` times the monomial ``exponents``, factor by factor in feature order, read from ``_powers``."""
     col = start
     for feat, exp in enumerate(exponents):
         if exp:
-            col = col * rows[:, feat] ** exp
+            col = col * powers[feat, exp]
     return col
 
 
@@ -163,9 +169,9 @@ def _design(rows: np.ndarray, target: np.ndarray, terms: list[tuple[int, ...]], 
     a = np.empty((top + n, len(terms) + 2), order="F")
     if head is not None:
         a[:top] = head
-    ones = np.ones(n)
+    ones, powers = np.ones(n), _powers(rows, terms)
     for j, e in enumerate([(0,) * k, *terms]):
-        a[top:, j] = _times_monomial(rows, e, ones)
+        a[top:, j] = _times_monomial(powers, e, ones)
     a[top:, -1] = target
     return a
 
@@ -297,8 +303,8 @@ def predict_polynomial(model: PolynomialModel, m: DesignMatrix) -> np.ndarray:
         raise FeatureMismatch(
             f"model was fit on {model.feature_names}, matrix has {m.feature_names}"
         )
-    out = np.zeros(m.n)
+    out, powers = np.zeros(m.n), _powers(m.rows, model.terms)
     for coef, term in zip(model.coefficients, model.terms):
-        out += _times_monomial(m.rows, term, np.full(m.n, coef))
+        out += _times_monomial(powers, term, np.full(m.n, coef))
     return out
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from windforecast import dataset
 from windforecast.dataset import (
     CSV_HEADER,
     Dataset,
@@ -324,6 +325,83 @@ def test_roundtrip_write_then_parse(synthetic_5k):
     text = write_csv(synthetic_5k)
     again = parse_csv(text, rated_power=synthetic_5k.rated_power)
     assert again == synthetic_5k
+
+
+# -- parse_csv across row blocks (dataset._BLOCK_ROWS = 256) -----------------
+
+def _good_rows(n):
+    return [f"{ts.isoformat()},5.0,100.0,20.0,400.0" for ts in _stamps(n)]
+
+
+_HUGE = "1" * (csv.field_size_limit() + 1)
+# (bad row's cells, given its timestamp; the failure reason pinned for it)
+_BAD_ROWS = {
+    "timestamp": (lambda ts: "not-a-time,5.0,100.0,20.0,400.0", "bad timestamp 'not-a-time'"),
+    "float": (lambda ts: f"{ts},5.0,100.0,20.0,oops", "bad power value 'oops'"),
+    "field count": (lambda ts: f"{ts},5.0,100.0,20.0,400.0,1", "expected 5 fields, got 6"),
+    "field limit": (lambda ts: f"{ts},{_HUGE},100.0,20.0,400.0",
+                    f"field larger than field limit ({csv.field_size_limit()})"),
+    "invariant": (lambda ts: f"{ts},-1.0,100.0,20.0,400.0", "wind_speed -1.0 < 0"),
+}
+
+
+def test_block_rows_is_256():
+    # the block edges the tests below place rows at (after rows 256 and 512) assume it
+    assert dataset._BLOCK_ROWS == 256
+
+
+@pytest.mark.parametrize("kind", sorted(_BAD_ROWS))
+@pytest.mark.parametrize("at", [1, 255, 256, 257, 513, 600])
+def test_parse_names_a_bad_row_on_either_side_of_a_block_edge(kind, at):
+    rows = _good_rows(600)
+    cells, reason = _BAD_ROWS[kind]
+    rows[at - 1] = cells(_stamps(at)[-1].isoformat())
+    with pytest.raises(RowParseError) as exc:
+        parse_csv(_csv(rows), rated_power=2000.0)
+    assert exc.value.failures == ((at, reason),)
+
+
+def test_parse_blank_lines_at_a_block_edge_are_not_counted():
+    rows = _good_rows(600)
+    # without them, data row 512 ends the second block; with them, that block ends on a
+    # blank line, the third starts on one, and another follows data row 512
+    lines = [*rows[:511], "", "", rows[511], "", *rows[512:]]
+    assert parse_csv(_csv(lines), rated_power=2000.0) == parse_csv(_csv(rows), rated_power=2000.0)
+    lines[lines.index(rows[299])] = _BAD_ROWS["float"][0](_stamps(300)[-1].isoformat())
+    lines[lines.index(rows[512])] = _BAD_ROWS["invariant"][0](_stamps(513)[-1].isoformat())
+    with pytest.raises(RowParseError) as exc:
+        parse_csv(_csv(lines), rated_power=2000.0)
+    assert exc.value.failures == ((300, "bad power value 'oops'"), (513, "wind_speed -1.0 < 0"))
+
+
+@pytest.mark.parametrize("n", [256, 512])
+def test_roundtrip_of_whole_blocks(n):
+    d = generate_synthetic(SyntheticConfig(n_samples=n))
+    assert parse_csv(write_csv(d), rated_power=d.rated_power) == d
+
+
+def test_parse_is_the_same_for_any_block_size(monkeypatch):
+    d = generate_synthetic(SyntheticConfig(n_samples=2000))
+    text = write_csv(d)
+    lines = text.splitlines()  # lines[i] is data row i
+    lines[10] = "not-a-time" + lines[10][lines[10].index(","):]
+    lines[300:300] = ["", ""]  # from here on, lines[i] is data row i - 2
+    lines[700] += ",1"
+    lines[1500] = lines[1500].rsplit(",", 1)[0] + ",oops"
+    cells = lines[1999].split(",")
+    lines[1999] = ",".join([*cells[:2], "361.0", *cells[3:]])
+    corrupted = "\n".join(lines) + "\n"
+    for block_rows in (1, 3, 256):
+        monkeypatch.setattr(dataset, "_BLOCK_ROWS", block_rows)
+        assert parse_csv(text, rated_power=d.rated_power) == d
+        with pytest.raises(RowParseError) as exc:
+            parse_csv(corrupted)
+        assert exc.value.failures == (
+            (10, "bad timestamp 'not-a-time'"),
+            (698, "expected 5 fields, got 6"),
+            (1498, "bad power value 'oops'"),
+            (1997, "wind_direction 361.0 outside [0, 360)"),
+        )
 
 
 # -- Dataset invariants -------------------------------------------------------
