@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import DesignMatrix, MinMaxScaler, fit_scaler
-from .dataset import _csv_text, _integer, _is_int, _real, _reals, _rng
+from .dataset import _csv_text, _integer, _is_int, _real, _reals, _rng, _tuple
 from .errors import (
     DimensionMismatch,
     InvalidArchitecture,
@@ -118,12 +118,13 @@ class MlpModel:
     target_scale: float = 1.0
 
     def __post_init__(self):
-        if not all(map(_is_int, self.layer_sizes)):
+        sizes = _tuple("layer_sizes", self.layer_sizes, InvalidArchitecture)
+        if not all(map(_is_int, sizes)):
             raise InvalidArchitecture(f"layer widths must be integers, got {self.layer_sizes!r}")
-        object.__setattr__(self, "layer_sizes", tuple(map(int, self.layer_sizes)))
-        object.__setattr__(self, "activations", tuple(self.activations))
+        object.__setattr__(self, "layer_sizes", tuple(map(int, sizes)))
+        object.__setattr__(self, "activations", _tuple("activations", self.activations, InvalidArchitecture))
         for name in ("weights", "biases"):
-            layers = enumerate(getattr(self, name))
+            layers = enumerate(_tuple(name, getattr(self, name), InvalidArchitecture))
             arrays = [_reals(f"layer {l} {name}", a, InvalidArchitecture) for l, a in layers]
             object.__setattr__(self, name, tuple(arrays))
         sizes = self.layer_sizes
@@ -151,7 +152,10 @@ class MlpModel:
                 raise InvalidArchitecture(f"layer {l} bias has shape {b.shape}")
         target_scale = _real("target_scale", self.target_scale, 0, InvalidArchitecture)
         object.__setattr__(self, "target_scale", target_scale)
-        width = sizes[0] if self.input_scaler is None else len(self.input_scaler.mins)
+        scaler = self.input_scaler
+        if not (scaler is None or isinstance(scaler, MinMaxScaler)):
+            raise InvalidArchitecture(f"input_scaler must be a MinMaxScaler or None, got {type(scaler).__name__}")
+        width = sizes[0] if scaler is None else len(scaler.mins)
         if width != sizes[0]:
             raise InvalidArchitecture(f"input scaler has {width} features, the network {sizes[0]}")
 

@@ -18,7 +18,6 @@ from enum import Enum
 from itertools import islice
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import (
     BetzViolation,
@@ -53,12 +52,24 @@ def _integer(name: str, value, low: int | None = None) -> int:
     if not _is_int(value):
         raise InvalidConfig(f"{name} must be an integer, got {value!r}")
     if low is not None and value < low:
-        try:
-            shown = str(value)
-        except ValueError:  # below a small low, so negative, with more digits than str may print
-            shown = f"a negative integer of {int(value).bit_length()} bits"
-        raise InvalidConfig(f"{name} must be >= {low}, got {shown}")
+        raise InvalidConfig(f"{name} must be >= {low}, got {_int_text(value)}")
     return int(value)
+
+
+def _int_text(value) -> str:
+    """An integer as ``str`` writes it, or by its size if it has more digits than ``str`` may print."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"{'a negative' if value < 0 else 'an'} integer of {int(value).bit_length()} bits"
+
+
+def _tuple(name: str, values, error: type[DataError]) -> tuple:
+    """``values`` as a tuple; refused with ``error`` unless iterable, so a lone number is no sequence."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise error(f"{name} must be a sequence, got {type(values).__name__}") from None
 
 
 def _real(name: str, value, low: int | None = None, error: type[DataError] = InvalidConfig) -> float:
@@ -409,6 +420,67 @@ _SYNTHETIC_EPOCH = datetime(2019, 1, 1)
 _GRID = timedelta(minutes=15)
 
 
+# Cephes ``ndtr`` (S. L. Moshier, "Methods and Programs for Mathematical Functions", 1989):
+# erf(x) = x T(x^2) / U(x^2) for |x| <= 1, and erfc(x) = exp(-x^2) P(x) / Q(x) on [1, 8),
+# exp(-x^2) R(x) / S(x) from 8 up; Q, S and U have a leading coefficient of 1
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+# log of the largest double: below -_MAXLOG, exp(-x^2) is taken as 0
+_MAXLOG = 7.09782712893383996843e2
+_SQRT1_2 = 7.07106781186547524401e-1
+
+
+def _polevl(x: np.ndarray, coef, leading_one: bool = False) -> np.ndarray:
+    """Cephes ``polevl`` (``p1evl`` if ``leading_one``): Horner's rule, multiply then add."""
+    y = x + coef[0] if leading_one else np.full_like(x, coef[0])
+    for c in coef[1:]:
+        y = y * x + c
+    return y
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """Cephes ``erf`` for |x| <= 1."""
+    z = x * x
+    return x * _polevl(z, _ERF_T) / _polevl(z, _ERF_U, True)
+
+
+def _ndtr(a: np.ndarray) -> np.ndarray:
+    """The standard normal CDF of a 1-d array, evaluated as Cephes ``ndtr`` (the code
+    ``scipy.special.ndtr`` runs) operation for operation, so it gives the same bits.
+    exp is libm's, through ``math.exp``: ``np.exp`` rounds differently on some CPUs."""
+    x = np.asarray(a, dtype=np.float64) * _SQRT1_2
+    z = np.abs(x)
+    y = np.full_like(x, math.nan)  # NaN fails every branch test below
+    inner = z < _SQRT1_2
+    y[inner] = 0.5 + 0.5 * _erf(x[inner])
+    middle = (z >= _SQRT1_2) & (z < 1.0)
+    y[middle] = 0.5 * (1.0 - _erf(z[middle]))
+    # erfc(z) for z >= 1: 0 once -z^2 < -_MAXLOG, and for inf
+    erfc = np.zeros_like(z)
+    with np.errstate(over="ignore"):  # z * z of a huge z is inf
+        live = (z >= 1.0) & (-z * z >= -_MAXLOG)
+    for mask, (p, q) in ((live & (z < 8.0), (_ERFC_P, _ERFC_Q)), (live & (z >= 8.0), (_ERFC_R, _ERFC_S))):
+        t = z[mask]
+        erfc[mask] = np.array([math.exp(-v * v) for v in t.tolist()]) * _polevl(t, p) / _polevl(t, q, True)
+    tail = z >= 1.0
+    y[tail] = 0.5 * erfc[tail]
+    upper = (z >= _SQRT1_2) & (x > 0)
+    y[upper] = 1.0 - y[upper]
+    return y
+
+
 def _autocorrelated_speeds(rng: np.random.Generator, n: int, scale: float) -> np.ndarray:
     """Stationary AR(1) Gaussian mapped through a Weibull marginal.
 
@@ -421,7 +493,7 @@ def _autocorrelated_speeds(rng: np.random.Generator, n: int, scale: float) -> np
     innovation = math.sqrt(1.0 - AR1_PHI**2)
     for t in range(1, n):
         z[t] = AR1_PHI * z[t - 1] + innovation * eps[t]
-    u = ndtr(z)
+    u = _ndtr(z)
     # inverse Weibull CDF; log1p keeps precision for u near 0
     return scale * (-np.log1p(-u)) ** (1.0 / WEIBULL_SHAPE)
 

@@ -33,10 +33,9 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dgeqrf
+from numpy.linalg import lapack_lite  # not documented API, but in every numpy release since 1.0
 
-from .dataset import DesignMatrix, _is_int, _real
+from .dataset import DesignMatrix, _int_text, _is_int, _real, _tuple
 from .errors import DegreeOutOfRange, FeatureMismatch, RankDeficient, TooFewRows
 
 MIN_DEGREE, MAX_DEGREE = 2, 5
@@ -52,9 +51,15 @@ BLOCK_ROWS = 4096
 
 
 def _names(values) -> tuple[str, ...]:
-    if not all(isinstance(name, str) for name in values):
+    names = _tuple("feature_names", values, FeatureMismatch)
+    if not all(isinstance(name, str) for name in names):
         raise FeatureMismatch("feature names must be strings")
-    return tuple(values)
+    return names
+
+
+def _coefficients(values) -> tuple[float, ...]:
+    values = _tuple("coefficients", values, FeatureMismatch)
+    return tuple(_real("coefficient", c, error=FeatureMismatch) for c in values)
 
 
 @dataclass(frozen=True)
@@ -67,8 +72,7 @@ class LinearModel:
 
     def __post_init__(self):
         object.__setattr__(self, "intercept", _real("intercept", self.intercept, error=FeatureMismatch))
-        coefficients = tuple(_real("coefficient", c, error=FeatureMismatch) for c in self.coefficients)
-        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "coefficients", _coefficients(self.coefficients))
         object.__setattr__(self, "feature_names", _names(self.feature_names))
         if len(self.coefficients) != len(self.feature_names):
             raise FeatureMismatch("coefficient count does not match feature names")
@@ -90,14 +94,15 @@ class PolynomialModel:
     condition_estimate: float
 
     def __post_init__(self):
-        if not all(_is_int(e) for t in self.terms for e in t):
+        terms = [_tuple("term", t, FeatureMismatch) for t in _tuple("terms", self.terms, FeatureMismatch)]
+        if not all(_is_int(e) for t in terms for e in t):
             raise FeatureMismatch("each exponent must be an integer")
-        object.__setattr__(self, "terms", tuple(tuple(int(e) for e in t) for t in self.terms))
-        coefficients = tuple(_real("coefficient", c, error=FeatureMismatch) for c in self.coefficients)
-        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "terms", tuple(tuple(int(e) for e in t) for t in terms))
+        object.__setattr__(self, "coefficients", _coefficients(self.coefficients))
         object.__setattr__(self, "feature_names", _names(self.feature_names))
         if not (_is_int(self.degree) and MIN_DEGREE <= self.degree <= MAX_DEGREE):
-            raise FeatureMismatch(f"degree {self.degree!r} is not an integer in [{MIN_DEGREE}, {MAX_DEGREE}]")
+            shown = _int_text(self.degree) if isinstance(self.degree, int) else repr(self.degree)
+            raise FeatureMismatch(f"degree {shown} is not an integer in [{MIN_DEGREE}, {MAX_DEGREE}]")
         cond = _real("condition_estimate", self.condition_estimate, error=FeatureMismatch)
         if cond < 1:
             raise FeatureMismatch(f"condition_estimate must be >= 1, got {cond!r}")
@@ -146,13 +151,14 @@ def _powers(rows: np.ndarray, terms) -> dict[tuple[int, int], np.ndarray]:
     return {(feat, exp): rows[:, feat] ** exp for feat, exp in pairs}
 
 
-def _times_monomial(powers: dict, exponents: tuple[int, ...], start: np.ndarray) -> np.ndarray:
-    """``start`` times the monomial ``exponents``, factor by factor in feature order, read from ``_powers``."""
-    col = start
-    for feat, exp in enumerate(exponents):
-        if exp:
-            col = col * powers[feat, exp]
-    return col
+def _monomial(powers: dict, exponents: tuple[int, ...], out: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """``scale`` times the monomial ``exponents`` (not the intercept), factor by factor in feature
+    order, read from ``_powers`` and written into ``out``."""
+    factors = [powers[feat, exp] for feat, exp in enumerate(exponents) if exp]
+    np.multiply(factors[0], scale, out=out)  # 1.0 times a factor is that factor exactly
+    for factor in factors[1:]:
+        out *= factor
+    return out
 
 
 def _polynomial_terms(k: int, degree: int) -> list[tuple[int, ...]]:
@@ -164,14 +170,15 @@ def _polynomial_terms(k: int, degree: int) -> list[tuple[int, ...]]:
 def _design(rows: np.ndarray, target: np.ndarray, terms: list[tuple[int, ...]], head=None) -> np.ndarray:
     """Columns 1, the monomials ``terms`` of ``rows`` and ``target``, in one Fortran-ordered buffer
     below the rows of ``head``, if given."""
-    n, k = rows.shape
+    n = len(rows)
     top = 0 if head is None else len(head)
     a = np.empty((top + n, len(terms) + 2), order="F")
     if head is not None:
         a[:top] = head
-    ones, powers = np.ones(n), _powers(rows, terms)
-    for j, e in enumerate([(0,) * k, *terms]):
-        a[top:, j] = _times_monomial(powers, e, ones)
+    powers = _powers(rows, terms)
+    a[top:, 0] = 1.0
+    for j, e in enumerate(terms, 1):
+        _monomial(powers, e, a[top:, j])
     a[top:, -1] = target
     return a
 
@@ -184,6 +191,27 @@ def expand_polynomial(m: DesignMatrix, degree: int) -> DesignMatrix:
     exponents = _polynomial_terms(m.k, degree)
     names = tuple(_term_name(e, m.feature_names) for e in exponents)
     return DesignMatrix(rows=_design(m.rows, m.target, exponents)[:, 1:-1], target=m.target, feature_names=names)
+
+
+def _back_substitute(r: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with ``r @ x = b`` for upper-triangular ``r``, row by row from the last up; this
+    row-oriented order gives the bits of ``scipy.linalg.solve_triangular``."""
+    x = np.empty(len(b))
+    for j in range(len(b) - 1, -1, -1):
+        x[j] = (b[j] - r[j, j + 1:] @ x[j + 1:]) / r[j, j]
+    return x
+
+
+def _qr_r(a: np.ndarray) -> np.ndarray:
+    """R of the Fortran-ordered ``a`` by LAPACK's Householder QR (``dgeqrf``, as ``np.linalg.qr``
+    runs it), factored in place: ``np.linalg.qr`` would copy ``a`` twice."""
+    m, n = a.shape
+    # a.T is a C-ordered view of a's buffer, so LAPACK reads it as a column-major m x n matrix
+    tau, work = np.empty(min(m, n)), np.empty(1)
+    lapack_lite.dgeqrf(m, n, a.T, max(1, m), tau, work, -1, 0)  # workspace query
+    work = np.empty(max(1, n, int(work[0])))
+    lapack_lite.dgeqrf(m, n, a.T, max(1, m), tau, work, len(work), 0)
+    return np.triu(a[: min(m, n)])
 
 
 @dataclass(frozen=True)
@@ -209,7 +237,7 @@ class LeastSquaresFactor:
         dependent = [self.names[j] for j in range(p) if norms[j] == 0 or diag[j] <= threshold]
         if dependent:
             raise RankDeficient(dependent)
-        beta = solve_triangular(r, self.r[:p, -1]) / norms
+        beta = _back_substitute(r, self.r[:p, -1]) / norms
         # singular values of the raw matrix equal those of R * diag(norms)
         return beta, float(np.linalg.cond(r * norms[np.newaxis, :]))
 
@@ -246,9 +274,7 @@ def factor_prefixes(
         """R of ``r`` stacked on the design of rows start..stop."""
         index = slice(start, stop) if order is None else order[start:stop]
         block = np.column_stack([col[index] for col in (*columns, target)])
-        a = _design(block[:, :-1], block[:, -1], terms, head=r)
-        # LAPACK's Householder QR (dgeqrf, as np.linalg.qr uses) in place, without np.linalg.qr's two copies
-        return np.triu(dgeqrf(a, overwrite_a=True)[0][: min(a.shape)])
+        return _qr_r(_design(block[:, :-1], block[:, -1], terms, head=r))
 
     # the R of no rows: a 0-row prefix keeps it, and ``solve`` refuses it for too few rows
     r, folded = np.zeros((0, len(terms) + 2)), 0
@@ -303,8 +329,8 @@ def predict_polynomial(model: PolynomialModel, m: DesignMatrix) -> np.ndarray:
         raise FeatureMismatch(
             f"model was fit on {model.feature_names}, matrix has {m.feature_names}"
         )
-    out, powers = np.zeros(m.n), _powers(m.rows, model.terms)
+    out, scratch, powers = np.zeros(m.n), np.empty(m.n), _powers(m.rows, model.terms)
     for coef, term in zip(model.coefficients, model.terms):
-        out += _times_monomial(powers, term, np.full(m.n, coef))
+        out += _monomial(powers, term, scratch, coef) if any(term) else coef
     return out
 

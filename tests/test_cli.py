@@ -1,6 +1,9 @@
 import csv
 import json
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -507,3 +510,11 @@ def test_reproduce_plots_the_sweep_models(tmp_path):
     loss_csv = (out / "ann_loss_history.csv").read_text()
     assert loss_csv == ann.history_to_csv(history)
     assert len(loss_csv.splitlines()) == 1 + 3
+
+
+def test_cli_import_loads_no_scipy():
+    # the runtime is numpy alone: scipy, where installed, is a test reference only
+    code = (f"import sys; sys.path.insert(0, {str(Path(cli.__file__).parents[1])!r}); import windforecast.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"

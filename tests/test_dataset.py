@@ -604,6 +604,18 @@ def test_configs_refuse_an_int_beyond_the_float_range_naming_the_field(value):
             make()
 
 
+def test_ndtr_equals_scipy_bit_for_bit():
+    # scipy is the reference only; the package computes the copula's CDF with numpy alone
+    from scipy.special import ndtr
+
+    rng = np.random.default_rng(20)
+    # each branch edge of Cephes ndtr: |a| = sqrt(2) * (1/sqrt(2), 1, 8), and -a^2/2 past exp's range
+    edges = np.array([1.0, math.sqrt(2), 8 * math.sqrt(2), 37.5, 37.7, 38.5, 40.0, 1e300, math.inf, 0.0])
+    edges = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, math.inf)])
+    a = np.concatenate([3 * rng.standard_normal(20_000), rng.uniform(-40, 40, 5_000), edges, -edges, [math.nan]])
+    assert dataset._ndtr(a).tobytes() == ndtr(a).tobytes()
+
+
 # -- split --------------------------------------------------------------------
 
 def _split_matrices(d, spec, fs=FeatureSet.SPEED_ONLY):

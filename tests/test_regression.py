@@ -2,6 +2,7 @@ import itertools
 import json
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -12,6 +13,7 @@ from windforecast.dataset import DesignMatrix, FeatureSet, SplitSpec, select_fea
 from windforecast.errors import (
     DegreeOutOfRange,
     FeatureMismatch,
+    InvalidArchitecture,
     MalformedModel,
     RankDeficient,
     TooFewRows,
@@ -347,6 +349,57 @@ def test_factor_polynomial_equals_fit_polynomial_and_refuses_a_higher_degree():
             alone.terms, alone.coefficients, alone.condition_estimate)
     with pytest.raises(DegreeOutOfRange, match="^degree 3 exceeds the factor's degree 2$"):
         factor_design(m, 2).polynomial(3)
+
+
+def test_back_substitution_equals_scipy_solve_triangular(synthetic_5k):
+    # scipy is the reference only; the package solves with numpy alone
+    from scipy.linalg import solve_triangular
+
+    n = len(synthetic_5k)
+    m = select_features(synthetic_5k, FeatureSet.SPEED_DIRECTION_TEMPERATURE)
+    stop = SplitSpec(train_fraction=0.85, seed=42).n_train(n)
+    order = SplitSpec(train_fraction=0.85, seed=42).order(n)
+    chain = factor_prefixes(m.rows.T, m.target, m.feature_names, [stop], order=order)[stop]
+    systems = [(chain, len(monomial_exponents(m.k, d)) + 1) for d in range(1, MAX_DEGREE + 1)]
+    systems.append((factor_design(m, 1), m.k + 1))
+    for factor, p in systems:
+        r, b = factor.r[:p, :p], factor.r[:p, -1]
+        assert regression._back_substitute(r, b).tobytes() == solve_triangular(r, b).tobytes()
+
+
+def test_in_place_fold_equals_numpy_qr():
+    rng = np.random.default_rng(21)
+    rows, target = rng.uniform(0.0, 25.0, (2 * BLOCK_ROWS, 3)), rng.normal(0.0, 500.0, 2 * BLOCK_ROWS)
+    terms = monomial_exponents(3, MAX_DEGREE)
+    # np.linalg.qr copies its argument, which _qr_r then factors in place
+    first = regression._design(rows[:BLOCK_ROWS], target[:BLOCK_ROWS], terms)
+    expected = np.linalg.qr(first, mode="r")
+    r = regression._qr_r(first)
+    assert r.tobytes() == expected.tobytes()
+    # a full block stacked below that R, as the chain folds it
+    a = regression._design(rows[BLOCK_ROWS:], target[BLOCK_ROWS:], terms, head=r)
+    expected = np.linalg.qr(a, mode="r")
+    assert regression._qr_r(a).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (lambda: LinearModel(1.0, 5, ("x",)), FeatureMismatch, "coefficients must be a sequence, got int"),
+        (lambda: LinearModel(1.0, (1.0,), 5), FeatureMismatch, "feature_names must be a sequence, got int"),
+        (lambda: PolynomialModel(2, 5, (1.0,), ("x",), 1.0), FeatureMismatch, "terms must be a sequence, got int"),
+        (lambda: replace(ann.init_network(1), weights=5), InvalidArchitecture,
+         "weights must be a sequence, got int"),
+        (lambda: replace(ann.init_network(1), input_scaler=1.0), InvalidArchitecture,
+         "input_scaler must be a MinMaxScaler or None, got float"),
+        (lambda: PolynomialModel(10**5000, ((0,),), (1.0,), ("x",), 1.0), FeatureMismatch,
+         r"degree an integer of 16610 bits is not an integer in \[2, 5\]"),
+    ],
+    ids=["linear-coefficients", "linear-names", "polynomial-terms", "mlp-weights", "mlp-scaler", "huge-degree"],
+)
+def test_model_constructors_name_a_field_of_the_wrong_kind(make, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        make()
 
 
 @pytest.mark.parametrize("degree", [2.5, 2.0, "2", True, np.float64(3.0), 6])

@@ -4,12 +4,21 @@ Floats are written as repr (the shortest string that round-trips), lines end
 in "\\n", None is an empty cell and a cell holding a comma is quoted.
 """
 
+import hashlib
 from datetime import datetime, timedelta
 
 import numpy as np
 
 from windforecast import ann, harness, regression, stats
-from windforecast.dataset import Dataset, DesignMatrix, FeatureSet, write_csv
+from windforecast.dataset import (
+    Dataset,
+    DesignMatrix,
+    FeatureSet,
+    SyntheticConfig,
+    generate_synthetic,
+    select_features,
+    write_csv,
+)
 from windforecast.metrics import EvalReport
 
 
@@ -94,3 +103,26 @@ def test_plot_data_bytes():
         "6.5,0.8\n"
         "10.0,1.0\n"
     )
+
+
+# SHA-256 of whole outputs on a 2,000-row synthetic plant, pinned across versions: the
+# plant exercises the copula's normal CDF, and the sweep and the fit the QR fold and solve
+PLANT_CSV_SHA256 = "4b3b2574c24d061d44ab5c96bfda6e396cb787f3c564e241646a5adce5ff0a90"
+SWEEP_CSV_SHA256 = "1298d95fde53f6516320576787189e38025467b4b1fc9d58eb661b06552f7e57"
+SWEEP_JSON_SHA256 = "5bb98c3229742171812ba0c21ac9417635a8c6fc9daa0477f4358480f862d2f3"
+DEGREE_5_DOCUMENT_SHA256 = "7379a3c0226bed4d617511087458b5c5a2cee9f95f2fc3168b57478f2ff43e6c"
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_plant_sweep_and_model_document_bytes_are_pinned():
+    d = generate_synthetic(SyntheticConfig(n_samples=2000, seed=7))
+    assert _sha256(write_csv(d)) == PLANT_CSV_SHA256
+    cfg = harness.SweepConfig(models=("persistence", "linear", "polynomial"))
+    rows = harness.run_sweep(d, cfg)
+    assert _sha256(harness.sweep_csv(rows)) == SWEEP_CSV_SHA256
+    assert _sha256(harness.sweep_json(rows, cfg)) == SWEEP_JSON_SHA256
+    model = regression.fit_polynomial(select_features(d, FeatureSet.SPEED_DIRECTION_TEMPERATURE), 5)
+    assert _sha256(harness.to_json(model)) == DEGREE_5_DOCUMENT_SHA256
