@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import DesignMatrix, MinMaxScaler, fit_scaler
-from .dataset import _csv_text, _integer, _is_int, _real, _reals, _rng, _tuple
+from .dataset import _csv_text, _integer, _is_int, _real, _reals, _rng, _shown, _tuple
 from .errors import (
     DimensionMismatch,
     InvalidArchitecture,
@@ -86,7 +86,7 @@ class TrainConfig:
             object.__setattr__(self, name, _integer(name, getattr(self, name), 1))
         object.__setattr__(self, "learning_rate", _real("learning_rate", self.learning_rate, 0))
         if not (isinstance(self.optimizer, str) and self.optimizer.lower() in ("sgd", "adam")):
-            raise InvalidConfig(f"optimizer must be 'sgd' or 'adam', got {self.optimizer!r}")
+            raise InvalidConfig(f"optimizer must be 'sgd' or 'adam', got {_shown(self.optimizer)}")
         object.__setattr__(self, "optimizer", self.optimizer.lower())
         object.__setattr__(self, "seed", _integer("seed", self.seed, 0))
 
@@ -120,7 +120,7 @@ class MlpModel:
     def __post_init__(self):
         sizes = _tuple("layer_sizes", self.layer_sizes, InvalidArchitecture)
         if not all(map(_is_int, sizes)):
-            raise InvalidArchitecture(f"layer widths must be integers, got {self.layer_sizes!r}")
+            raise InvalidArchitecture(f"layer widths must be integers, got {_shown(self.layer_sizes)}")
         object.__setattr__(self, "layer_sizes", tuple(map(int, sizes)))
         object.__setattr__(self, "activations", _tuple("activations", self.activations, InvalidArchitecture))
         for name in ("weights", "biases"):
@@ -129,18 +129,19 @@ class MlpModel:
             object.__setattr__(self, name, tuple(arrays))
         sizes = self.layer_sizes
         if len(sizes) != HIDDEN_LAYERS + 2:
-            raise InvalidArchitecture(f"expected {HIDDEN_LAYERS} hidden layers, sizes={sizes}")
+            raise InvalidArchitecture(f"expected {HIDDEN_LAYERS} hidden layers, sizes={_shown(sizes)}")
         if any(s < 1 for s in sizes):
             raise InvalidArchitecture("all layer widths must be >= 1")
         if sizes[-1] != 1:
             raise InvalidArchitecture("output layer must have width 1")
         if len(self.activations) != len(sizes) - 1:
             raise InvalidArchitecture("need one activation per non-input layer")
-        if self.activations[-1] != "identity":
+        # an activation is a name, so no list or array is hashed or compared as one
+        if not (isinstance(self.activations[-1], str) and self.activations[-1] == "identity"):
             raise InvalidArchitecture("output activation must be identity")
         for name in self.activations:
-            if name not in ACTIVATIONS:
-                raise InvalidArchitecture(f"unknown activation {name!r}")
+            if not (isinstance(name, str) and name in ACTIVATIONS):
+                raise InvalidArchitecture(f"unknown activation {_shown(name)}")
         if len(self.weights) != len(sizes) - 1 or len(self.biases) != len(sizes) - 1:
             raise InvalidArchitecture("need one weight matrix and bias vector per layer")
         for l, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -174,13 +175,14 @@ def init_network(
     same seed always reproduces the same parameters.
     """
     if not (_is_int(input_dim) and input_dim in (1, 2, 3)):
-        raise InvalidArchitecture(f"input_dim must be 1, 2 or 3, got {input_dim!r}")
-    if len(hidden) != HIDDEN_LAYERS:
-        raise InvalidArchitecture(f"expected {HIDDEN_LAYERS} hidden widths, got {len(hidden)}")
-    if not all(_is_int(h) and h >= 1 for h in hidden):
-        raise InvalidArchitecture(f"all hidden widths must be integers >= 1, got {hidden!r}")
-    sizes = (input_dim, *hidden, 1)
-    rng = _rng(seed)
+        raise InvalidArchitecture(f"input_dim must be 1, 2 or 3, got {_shown(input_dim)}")
+    widths = _tuple("hidden", hidden, InvalidArchitecture)
+    if len(widths) != HIDDEN_LAYERS:
+        raise InvalidArchitecture(f"expected {HIDDEN_LAYERS} hidden widths, got {len(widths)}")
+    if not all(_is_int(h) and h >= 1 for h in widths):
+        raise InvalidArchitecture(f"all hidden widths must be integers >= 1, got {_shown(hidden)}")
+    sizes = (input_dim, *widths, 1)
+    rng = _rng(_integer("seed", seed, 0))
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         limit = 1.0 / np.sqrt(fan_in)

@@ -50,18 +50,21 @@ def _is_int(value) -> bool:
 def _integer(name: str, value, low: int | None = None) -> int:
     """A config value as a plain int; refused unless an integer (see ``_is_int``) >= ``low``, if given."""
     if not _is_int(value):
-        raise InvalidConfig(f"{name} must be an integer, got {value!r}")
+        raise InvalidConfig(f"{name} must be an integer, got {_shown(value)}")
     if low is not None and value < low:
-        raise InvalidConfig(f"{name} must be >= {low}, got {_int_text(value)}")
+        raise InvalidConfig(f"{name} must be >= {low}, got {_shown(int(value))}")
     return int(value)
 
 
-def _int_text(value) -> str:
-    """An integer as ``str`` writes it, or by its size if it has more digits than ``str`` may print."""
+def _shown(value) -> str:
+    """How an error message names a refused value: its repr, or, where repr raises (an integer with
+    more digits than ``str`` may print, or a container holding one), its size, printing no digit."""
     try:
-        return str(value)
+        return repr(value)
     except ValueError:
-        return f"{'a negative' if value < 0 else 'an'} integer of {int(value).bit_length()} bits"
+        if _is_int(value):
+            return f"{'a negative' if value < 0 else 'an'} integer of {int(value).bit_length()} bits"
+        return f"a {type(value).__name__} too long to print"
 
 
 def _tuple(name: str, values, error: type[DataError]) -> tuple:
@@ -82,7 +85,7 @@ def _real(name: str, value, low: int | None = None, error: type[DataError] = Inv
         number, shown = math.inf, "an integer beyond the float range"
     if not (math.isfinite(number) and (low is None or number > low)):
         bound = "" if low is None else f" and > {low}"
-        raise error(f"{name} must be finite{bound}, got {shown or repr(value)}")
+        raise error(f"{name} must be finite{bound}, got {shown or _shown(value)}")
     return number
 
 
@@ -221,7 +224,7 @@ class FeatureSet(Enum):
 
     @classmethod
     def parse(cls, text: str) -> "FeatureSet":
-        key = text.strip().lower()
+        key = text.strip().lower() if isinstance(text, str) else None
         aliases = {
             "speed": cls.SPEED_ONLY,
             "speed_direction": cls.SPEED_DIRECTION,
@@ -232,7 +235,7 @@ class FeatureSet(Enum):
             aliases.setdefault(fs.name.lower(), fs)
         if key not in aliases:
             raise InvalidConfig(
-                f"unknown feature set {text!r}; choose from {sorted(set(aliases))}"
+                f"unknown feature set {_shown(text)}; choose from {sorted(set(aliases))}"
             )
         return aliases[key]
 
@@ -245,16 +248,21 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """Numeric feature matrix (n x k) with its kW target vector."""
+    """Numeric feature matrix (n x k) with its kW target vector, both finite and read-only."""
 
     rows: np.ndarray
     target: np.ndarray
     feature_names: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", _readonly(np.atleast_2d(self.rows)))
-        object.__setattr__(self, "target", _readonly(np.ravel(self.target)))
-        object.__setattr__(self, "feature_names", tuple(self.feature_names))
+        rows = np.atleast_2d(_reals("rows", self.rows))
+        if rows.ndim != 2:
+            raise InvalidConfig(f"rows must be 2-D, got shape {rows.shape}")
+        target = _reals("target", self.target).ravel()
+        target.setflags(write=False)  # ravel copies a target that is not C-ordered
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "feature_names", _tuple("feature_names", self.feature_names, InvalidConfig))
         n, k = self.rows.shape
         if n != self.target.shape[0]:
             raise InvalidConfig(f"rows has {n} rows but target has {self.target.shape[0]}")

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import functools
 import json
+from collections.abc import Hashable
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
 from . import ann, regression
 from .dataset import Dataset, DesignMatrix, FeatureSet, MinMaxScaler, SplitSpec, select_features
-from .dataset import _csv_text, _integer
+from .dataset import _csv_text, _integer, _shown
 from .errors import DataError, FeatureMismatch, InvalidConfig, MalformedModel, SeriesTooShort
 from .metrics import EvalReport
 from .regression import MAX_DEGREE, MIN_DEGREE, LinearModel, PolynomialModel
@@ -41,7 +42,7 @@ def _axis(name: str, values, check) -> tuple:
     """``values`` as a tuple of ``check(value)``; a string, a scalar or a repeated value is refused."""
     # a 0-d array has __iter__ but cannot be iterated
     if isinstance(values, str) or not hasattr(values, "__iter__") or getattr(values, "ndim", 1) == 0:
-        raise InvalidConfig(f"{name} must be a collection of values, got {values!r}")
+        raise InvalidConfig(f"{name} must be a collection of values, got {_shown(values)}")
     items = tuple(map(check, values))
     if len(set(items)) != len(items):
         raise InvalidConfig(f"{name} lists a value more than once")
@@ -49,8 +50,10 @@ def _axis(name: str, values, check) -> tuple:
 
 
 def _one_of(name: str, value, choices):
-    if value not in choices:
-        raise InvalidConfig(f"{name} must be one of {', '.join(map(str, choices))}, got {value!r}")
+    """``value`` if it is one of ``choices``; an unhashable value (a list, an array) is refused
+    before ``in`` compares it."""
+    if not (isinstance(value, Hashable) and value in choices):
+        raise InvalidConfig(f"{name} must be one of {', '.join(map(str, choices))}, got {_shown(value)}")
     return value
 
 
@@ -69,7 +72,7 @@ class SweepConfig:
     def __post_init__(self):
         object.__setattr__(self, "seed", _integer("seed", self.seed, 0))
         if not isinstance(self.ann_train, ann.TrainConfig):
-            raise InvalidConfig(f"ann_train must be an ann.TrainConfig, got {self.ann_train!r}")
+            raise InvalidConfig(f"ann_train must be an ann.TrainConfig, got {_shown(self.ann_train)}")
         checks = {
             # the split states its own range
             "train_fractions": lambda f: SplitSpec(train_fraction=f, seed=self.seed).train_fraction,
@@ -177,7 +180,7 @@ def from_json(text: str):
     schema = doc.get("schema")
     cls = next((c for c, tag in _MODEL_SCHEMAS.items() if tag == schema), None)
     if cls is None:
-        raise MalformedModel(f"unknown model schema {schema!r}")
+        raise MalformedModel(f"unknown model schema {_shown(schema)}")
     try:
         values = {f.name: doc[f.name] for f in fields(cls)}
         if cls is ann.MlpModel:

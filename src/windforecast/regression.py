@@ -35,7 +35,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 from numpy.linalg import lapack_lite  # not documented API, but in every numpy release since 1.0
 
-from .dataset import DesignMatrix, _int_text, _is_int, _real, _tuple
+from .dataset import DesignMatrix, _is_int, _real, _shown, _tuple
 from .errors import DegreeOutOfRange, FeatureMismatch, RankDeficient, TooFewRows
 
 MIN_DEGREE, MAX_DEGREE = 2, 5
@@ -101,8 +101,7 @@ class PolynomialModel:
         object.__setattr__(self, "coefficients", _coefficients(self.coefficients))
         object.__setattr__(self, "feature_names", _names(self.feature_names))
         if not (_is_int(self.degree) and MIN_DEGREE <= self.degree <= MAX_DEGREE):
-            shown = _int_text(self.degree) if isinstance(self.degree, int) else repr(self.degree)
-            raise FeatureMismatch(f"degree {shown} is not an integer in [{MIN_DEGREE}, {MAX_DEGREE}]")
+            raise FeatureMismatch(f"degree {_shown(self.degree)} is not an integer in [{MIN_DEGREE}, {MAX_DEGREE}]")
         cond = _real("condition_estimate", self.condition_estimate, error=FeatureMismatch)
         if cond < 1:
             raise FeatureMismatch(f"condition_estimate must be >= 1, got {cond!r}")
@@ -264,9 +263,9 @@ def factor_prefixes(
     whatever the other stops and equals ``factor_design`` of those s rows alone.
     Each block's rows are indexed out of the columns, so no other matrix is built.
     """
-    n = len(target)
-    if not all(_is_int(s) and 0 <= s <= n for s in stops):
-        raise TooFewRows(f"each stop must be a row count in [0, {n}], got {stops!r}")
+    n, counts = len(target), _tuple("stops", stops, TooFewRows)
+    if not all(_is_int(s) and 0 <= s <= n for s in counts):
+        raise TooFewRows(f"each stop must be a row count in [0, {n}], got {_shown(stops)}")
     terms = monomial_exponents(len(columns), degree)
     names = ("intercept", *(_term_name(e, feature_names) for e in terms))
 
@@ -279,7 +278,7 @@ def factor_prefixes(
     # the R of no rows: a 0-row prefix keeps it, and ``solve`` refuses it for too few rows
     r, folded = np.zeros((0, len(terms) + 2)), 0
     factors = {}
-    for stop in sorted(set(stops)):
+    for stop in sorted(set(counts)):
         while folded + BLOCK_ROWS <= stop:
             r, folded = fold(r, folded, folded + BLOCK_ROWS), folded + BLOCK_ROWS
         prefix = r if folded == stop else fold(r, folded, stop)
