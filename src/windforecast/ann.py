@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import DesignMatrix, MinMaxScaler, fit_scaler
-from .dataset import _csv_text, _integer, _is_int, _real, _reals, _rng, _shown, _tuple
+from .dataset import _by_constructor, _csv_text, _integer, _is_int, _real, _reals, _rng, _shown, _tuple
 from .errors import (
     DimensionMismatch,
     InvalidArchitecture,
@@ -116,6 +116,8 @@ class MlpModel:
     biases: tuple[np.ndarray, ...]
     input_scaler: MinMaxScaler | None = None
     target_scale: float = 1.0
+
+    __reduce__ = _by_constructor
 
     def __post_init__(self):
         sizes = _tuple("layer_sizes", self.layer_sizes, InvalidArchitecture)

@@ -52,7 +52,7 @@ def _integer(name: str, value, low: int | None = None) -> int:
     if not _is_int(value):
         raise InvalidConfig(f"{name} must be an integer, got {_shown(value)}")
     if low is not None and value < low:
-        raise InvalidConfig(f"{name} must be >= {low}, got {_shown(int(value))}")
+        raise InvalidConfig(f"{name} must be >= {low}, got {_text(value)}")
     return int(value)
 
 
@@ -65,6 +65,12 @@ def _shown(value) -> str:
         if _is_int(value):
             return f"{'a negative' if value < 0 else 'an'} integer of {int(value).bit_length()} bits"
         return f"a {type(value).__name__} too long to print"
+
+
+def _text(value) -> str:
+    """A number as ``str`` prints it, but an integer (a numpy one as an ``int``) through ``_shown``,
+    so that one too long for ``str`` is named by its size."""
+    return _shown(int(value)) if _is_int(value) else str(value)
 
 
 def _tuple(name: str, values, error: type[DataError]) -> tuple:
@@ -89,12 +95,17 @@ def _real(name: str, value, low: int | None = None, error: type[DataError] = Inv
     return number
 
 
-def _reals(name: str, values, error: type[DataError] = InvalidConfig) -> np.ndarray:
+def _reals(name: str, values, error: type[DataError] = InvalidConfig, finite: bool = True) -> np.ndarray:
     """Numbers as a read-only float64 array: a finite float64 array is copied as it is,
-    anything else is checked entry by entry with ``_real``, so no bool or string is read as a number."""
-    if not (isinstance(values, np.ndarray) and values.dtype == np.float64 and np.isfinite(values).all()):
+    anything else is checked entry by entry with ``_real``, so no bool or string is read as a number.
+    With ``finite`` false a float may also be NaN or infinite, and any float64 array is copied."""
+    if not (isinstance(values, np.ndarray) and values.dtype == np.float64
+            and (not finite or np.isfinite(values).all())):
         entries = np.asarray(values, dtype=object)
-        values = np.array([_real(name, v, error=error) for v in entries.flat]).reshape(entries.shape)
+        values = np.array([
+            v if not finite and isinstance(v, (float, np.floating)) else _real(name, v, error=error)
+            for v in entries.flat
+        ]).reshape(entries.shape)
     return _readonly(values)
 
 
@@ -158,8 +169,9 @@ class Dataset:
 
     def __init__(self, timestamps, wind_speed, wind_direction, temperature, power, rated_power: float):
         stamps = np.array(timestamps, dtype=object)
+        # a non-finite value passes, so that _row_problems names its row
         columns = {
-            name: _readonly(values)
+            name: _reals(name, values, finite=False)
             for name, values in zip(CSV_HEADER[1:], (wind_speed, wind_direction, temperature, power))
         }
         if any(a.ndim != 1 or len(a) != len(stamps) for a in (stamps, *columns.values())):
@@ -240,6 +252,12 @@ class FeatureSet(Enum):
         return aliases[key]
 
 
+def _by_constructor(self) -> tuple:
+    """``__reduce__`` of a frozen dataclass that holds arrays: an unpickled copy is made by the
+    constructor, so it is checked and its arrays are read-only, as the original's are."""
+    return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=np.float64)
     a.setflags(write=False)
@@ -253,6 +271,8 @@ class DesignMatrix:
     rows: np.ndarray
     target: np.ndarray
     feature_names: tuple[str, ...]
+
+    __reduce__ = _by_constructor
 
     def __post_init__(self):
         rows = np.atleast_2d(_reals("rows", self.rows))
@@ -319,6 +339,8 @@ class MinMaxScaler:
     mins: np.ndarray
     maxs: np.ndarray
 
+    __reduce__ = _by_constructor
+
     def __post_init__(self):
         object.__setattr__(self, "mins", _reals("mins", self.mins))
         object.__setattr__(self, "maxs", _reals("maxs", self.maxs))
@@ -354,7 +376,7 @@ def physical_power(v, rho: float, cp: float, area: float):
     (below 2.2250738585072014e-308 kW) lies on a fixed 2**-1074 grid, where f(2v) == 8*f(v) can fail.
     """
     if cp > BETZ_LIMIT:
-        raise BetzViolation(f"power coefficient {cp} exceeds {BETZ_LIMIT}")
+        raise BetzViolation(f"power coefficient {_text(cp)} exceeds {BETZ_LIMIT}")
     v_arr = np.asarray(v, dtype=np.float64)
     if np.any(v_arr < 0) or rho < 0 or cp < 0 or area < 0:
         raise ValueError("wind speed, density, power coefficient and area must be >= 0")

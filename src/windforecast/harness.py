@@ -13,6 +13,9 @@ from __future__ import annotations
 
 import functools
 import json
+import os
+import sys
+import threading
 from collections.abc import Hashable
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
@@ -20,7 +23,7 @@ import numpy as np
 
 from . import ann, regression
 from .dataset import Dataset, DesignMatrix, FeatureSet, MinMaxScaler, SplitSpec, select_features
-from .dataset import _csv_text, _integer, _shown
+from .dataset import _csv_text, _integer, _shown, _text
 from .errors import DataError, FeatureMismatch, InvalidConfig, MalformedModel, SeriesTooShort
 from .metrics import EvalReport
 from .regression import MAX_DEGREE, MIN_DEGREE, LinearModel, PolynomialModel
@@ -118,11 +121,11 @@ def persistence_forecast(d: Dataset, horizon_steps: int) -> tuple[np.ndarray, np
     the dataset in timestamp order.
     """
     if horizon_steps < 1:
-        raise InvalidConfig(f"horizon_steps must be >= 1, got {horizon_steps}")
+        raise InvalidConfig(f"horizon_steps must be >= 1, got {_text(horizon_steps)}")
     power = d.column("power")
     if len(power) <= horizon_steps:
         raise SeriesTooShort(
-            f"dataset has {len(power)} rows, needs more than horizon {horizon_steps}"
+            f"dataset has {len(power)} rows, needs more than horizon {_text(horizon_steps)}"
         )
     actual = power[horizon_steps:]
     predicted = power[:-horizon_steps]
@@ -215,6 +218,66 @@ def _grid(cfg: SweepConfig):
                     )
 
 
+def _usable_cores() -> int:
+    """The processes ``_forked_map`` may use: the cores this process may run on, where it can
+    fork (Linux), else 1. A process that runs other Python threads, whose locks a fork would
+    copy held, and a daemonic multiprocessing worker (a ``Pool``'s), which may start no child,
+    use 1 too."""
+    if not (hasattr(os, "sched_getaffinity") and hasattr(os, "fork")) or threading.active_count() > 1:
+        return 1
+    multiprocessing = sys.modules.get("multiprocessing")  # a multiprocessing worker has loaded it
+    if multiprocessing is not None and multiprocessing.current_process().daemon:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _send(writer, fn, items) -> None:
+    """A forked worker's body: ``fn`` of each of its items, sent back as one list."""
+    with writer:
+        writer.send([fn(item) for item in items])
+
+
+def _forked_map(fn, items) -> list:
+    """``[fn(item) for item in items]``, in w = min(usable cores, len(items)) processes.
+
+    Item i goes to worker i % w. Worker 0 is this process; workers 1..w-1 are forked
+    children, which inherit everything ``fn`` reads, so nothing is pickled on the way
+    in, and each sends its results back over a one-way pipe, so they must pickle. With
+    w = 1 no process is forked. Each item of a child that exits before it sends gets a
+    ``ChildProcessError`` naming the exit code. Every child is ended and joined before
+    this returns or raises. ``fn`` must not raise: catch in it what should become a result.
+    """
+    workers = min(_usable_cores(), len(items))
+    shares = [items[w::workers] for w in range(workers)]
+    children = []
+    try:
+        if workers > 1:
+            import multiprocessing  # only a forking call loads it
+
+            context = multiprocessing.get_context("fork")
+            for share in shares[1:]:
+                reader, writer = context.Pipe(duplex=False)
+                child = context.Process(target=_send, args=(writer, fn, share))
+                child.start()
+                children.append((child, reader))
+                writer.close()  # the child holds the only writer, so its exit ends the pipe
+        results = [[fn(item) for item in shares[0]]] if shares else []
+        for (child, reader), share in zip(children, shares[1:]):
+            try:
+                results.append(reader.recv())
+            except EOFError:
+                child.join()
+                code = child.exitcode
+                lost = ChildProcessError(f"a worker process exited with code {code} before sending its results")
+                results.append([lost] * len(share))
+    finally:
+        for child, reader in children:
+            reader.close()
+            child.terminate()  # a child that has sent has nothing left to do
+            child.join()
+    return [results[i % workers][i // workers] for i in range(len(items))]
+
+
 def run_sweep(d: Dataset, cfg: SweepConfig = SweepConfig()) -> list[SweepRow]:
     """Evaluate every configuration of the grid on held-out test data.
 
@@ -223,9 +286,10 @@ def run_sweep(d: Dataset, cfg: SweepConfig = SweepConfig()) -> list[SweepRow]:
     polynomial rows of one feature set read their models off one chain over the split's
     shuffled row order, with one stop per fraction, and the ANN rows of one fraction
     train once, as one stack: a diverged network fails its own row, any other training
-    error every ANN row. Only test matrices are kept: each model row keeps the one it is
-    scored on, shared with the other rows of its (fraction, feature set), and each scored
-    row its fitted model and, for the ANN, its loss history.
+    error every ANN row. The stacks are trained before the first row, each fraction's in
+    one of ``_forked_map``'s worker processes. Only test matrices are kept: each model row
+    keeps the one it is scored on, shared with the other rows of its (fraction, feature
+    set), and each scored row its fitted model and, for the ANN, its loss history.
     Identical inputs yield an identical row list.
     """
 
@@ -249,15 +313,20 @@ def run_sweep(d: Dataset, cfg: SweepConfig = SweepConfig()) -> list[SweepRow]:
         return regression.factor_prefixes(columns, d.column("power"), fs.columns, stops,
                                           order=specs[0].order(len(d)))
 
-    @functools.cache
-    def networks(fraction: float) -> dict:
-        trains = [select_features(d, fs, sides(fraction)[0]) for fs in cfg.feature_sets]
-        nets = [ann.init_network(m.k, seed=cfg.ann_train.seed) for m in trains]
+    def train(fraction: float) -> list | Exception:
         try:
-            fits = ann.train_stack(nets, trains, cfg.ann_train, d.rated_power)
+            trains = [select_features(d, fs, sides(fraction)[0]) for fs in cfg.feature_sets]
+            nets = [ann.init_network(m.k, seed=cfg.ann_train.seed) for m in trains]
+            return ann.train_stack(nets, trains, cfg.ann_train, d.rated_power)
         except Exception as exc:
-            fits = [exc] * len(trains)
-        return dict(zip(cfg.feature_sets, fits))
+            return exc
+
+    fractions = cfg.train_fractions if "ann" in cfg.models else ()
+    networks = {}
+    for fraction, fits in zip(fractions, _forked_map(train, fractions)):
+        # one exception, from training or a lost worker, is the result of every network of the stack
+        fits = fits if isinstance(fits, list) else [fits] * len(cfg.feature_sets)
+        networks[fraction] = dict(zip(cfg.feature_sets, fits))
 
     rows: list[SweepRow] = []
     for fields in _grid(cfg):
@@ -269,7 +338,7 @@ def run_sweep(d: Dataset, cfg: SweepConfig = SweepConfig()) -> list[SweepRow]:
                 fraction, fs = fields["train_fraction"], fields["feature_set"]
                 test_m = test_matrix(fraction, fs)
                 if fields["model"] == "ann":
-                    fit = networks(fraction)[fs]
+                    fit = networks[fraction][fs]
                     if isinstance(fit, Exception):
                         raise fit
                     model, history = fit

@@ -35,7 +35,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 from numpy.linalg import lapack_lite  # not documented API, but in every numpy release since 1.0
 
-from .dataset import DesignMatrix, _is_int, _real, _shown, _tuple
+from .dataset import DesignMatrix, _is_int, _real, _shown, _text, _tuple
 from .errors import DegreeOutOfRange, FeatureMismatch, RankDeficient, TooFewRows
 
 MIN_DEGREE, MAX_DEGREE = 2, 5
@@ -162,7 +162,7 @@ def _monomial(powers: dict, exponents: tuple[int, ...], out: np.ndarray, scale: 
 
 def _polynomial_terms(k: int, degree: int) -> list[tuple[int, ...]]:
     if not MIN_DEGREE <= degree <= MAX_DEGREE:
-        raise DegreeOutOfRange(f"degree must lie in [{MIN_DEGREE}, {MAX_DEGREE}], got {degree}")
+        raise DegreeOutOfRange(f"degree must lie in [{MIN_DEGREE}, {MAX_DEGREE}], got {_text(degree)}")
     return monomial_exponents(k, degree)
 
 

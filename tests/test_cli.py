@@ -518,3 +518,18 @@ def test_cli_import_loads_no_scipy():
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
     assert out == "[]\n"
+
+
+def test_commands_that_train_at_most_one_stack_load_no_multiprocessing(tmp_path):
+    # only a sweep with ANN rows of two or more train fractions forks workers, and only it loads the module
+    data, out = str(tmp_path / "data.csv"), str(tmp_path / "out")
+    commands = [
+        ["gen", "--out", data, "--n-samples", "300"],
+        ["sweep", "--data", data, "--out-dir", out, "--model", "persistence,linear,polynomial"],
+        ["fit", "--data", data, "--model", "ann", "--epochs", "1"],
+        ["plot-data", "--data", data, "--model", "ann", "--epochs", "1", "--out-dir", out],
+    ]
+    code = (f"import sys; sys.path.insert(0, {str(Path(cli.__file__).parents[1])!r}); from windforecast import cli; "
+            f"codes = [cli.main(argv) for argv in {commands!r}]; print(codes, 'multiprocessing' in sys.modules)")
+    stdout = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
+    assert stdout.splitlines()[-1] == "[0, 0, 0, 0] False"

@@ -7,18 +7,26 @@ included, is a bare failure at the input edge.
 """
 
 import functools
+import inspect
 import itertools
 import math
-from dataclasses import asdict, fields
+import pickle
+from dataclasses import asdict, fields, is_dataclass
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
 
 from windforecast.ann import MlpModel, TrainConfig, init_network
-from windforecast.dataset import DesignMatrix, FeatureSet, MinMaxScaler, SplitSpec, SyntheticConfig, _integer, _shown
-from windforecast.errors import DataError, InvalidArchitecture, InvalidConfig, NumericError, TooFewRows
-from windforecast.harness import SweepConfig
-from windforecast.regression import LinearModel, PolynomialModel, factor_prefixes
+from windforecast.dataset import (
+    Dataset, DesignMatrix, FeatureSet, MinMaxScaler, SplitSpec, SyntheticConfig, _integer, _shown, physical_power,
+)
+from windforecast.errors import (
+    BetzViolation, DataError, DegreeOutOfRange, InvalidArchitecture, InvalidConfig, NumericError, SeriesTooShort,
+    TooFewRows,
+)
+from windforecast.harness import SweepConfig, persistence_forecast
+from windforecast.regression import LinearModel, PolynomialModel, expand_polynomial, factor_prefixes, fit_polynomial
 
 # (label, value): the label names a value whose repr may be too long to make
 HOSTILE = [
@@ -66,6 +74,11 @@ def _valid_calls():
         ("LinearModel", LinearModel, dict(intercept=1.0, coefficients=(2.0,), feature_names=("wind_speed",))),
         ("MinMaxScaler", MinMaxScaler, dict(mins=[0.0], maxs=[1.0])),
         ("DesignMatrix", DesignMatrix, dict(rows=x[:, None], target=x**2, feature_names=("wind_speed",))),
+        ("Dataset", Dataset, dict(
+            timestamps=[datetime(2019, 1, 1) + i * timedelta(minutes=15) for i in range(3)],
+            wind_speed=[5.0, 6.0, 7.0], wind_direction=[0.0, 90.0, 180.0], temperature=[10.0, 11.0, 12.0],
+            power=[100.0, 200.0, 300.0], rated_power=2000.0,
+        )),
         ("init_network", init_network, dict(input_dim=1, hidden=(4, 4, 4, 4), seed=0)),
         ("factor_prefixes", functools.partial(factor_prefixes, [x], x**2, ("wind_speed",), degree=2),
          dict(stops=(10,))),
@@ -76,7 +89,8 @@ def test_valid_calls_name_every_field():
     for label, make, kwargs in _valid_calls():
         make(**kwargs)
         if isinstance(make, type):
-            assert set(kwargs) == {f.name for f in fields(make)}, label
+            names = [f.name for f in fields(make)] if is_dataclass(make) else inspect.signature(make).parameters
+            assert set(kwargs) == set(names), label
 
 
 def test_hostile_value_in_any_constructor_field_is_refused_or_accepted():
@@ -174,3 +188,78 @@ def test_an_activation_that_is_no_name_is_refused(name):
         activations[at] = name
         with pytest.raises(InvalidArchitecture, match="^(unknown activation|output activation must be identity)"):
             MlpModel(net.layer_sizes, tuple(activations), net.weights, net.biases)
+
+
+def _same(a, b) -> bool:
+    """Whether a and b hold equal values of the same types, every array of b read-only."""
+    if is_dataclass(a):
+        return type(a) is type(b) and all(_same(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+    if isinstance(a, tuple):
+        return type(b) is tuple and len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, np.ndarray):
+        return type(b) is np.ndarray and a.dtype == b.dtype and np.array_equal(a, b) and not b.flags.writeable
+    return type(a) is type(b) and a == b
+
+
+@pytest.mark.parametrize("make, kwargs", [pytest.param(*c[1:], id=c[0]) for c in _valid_calls() if is_dataclass(c[1])])
+def test_a_value_unpickles_equal_with_read_only_arrays(make, kwargs):
+    value = make(**kwargs)
+    assert _same(value, pickle.loads(pickle.dumps(value)))
+
+
+@pytest.mark.parametrize(
+    "column, value, message",
+    [
+        ("wind_speed", "x", "^wind_speed must be finite, got 'x'$"),
+        ("power", {}, r"^power must be finite, got \{\}$"),
+        ("temperature", [-(10**5000), 1.0, 2.0], "^temperature must be finite, got an integer beyond the float range$"),
+        ("wind_direction", [True, 1.0, 2.0], "^wind_direction must be finite, got True$"),
+    ],
+    ids=["string", "dict", "huge-int", "bool"],
+)
+def test_dataset_refuses_a_column_entry_that_is_no_number_naming_the_column(column, value, message):
+    (_, _, kwargs), = (c for c in _valid_calls() if c[0] == "Dataset")
+    with pytest.raises(InvalidConfig, match=message):
+        Dataset(**{**kwargs, column: value})
+
+
+def test_dataset_passes_a_non_finite_column_entry_on_to_its_row_check():
+    (_, _, kwargs), = (c for c in _valid_calls() if c[0] == "Dataset")
+    with pytest.raises(DataError, match="^2 invalid row.*row 1: wind_speed is not finite; row 3: wind_speed is not"):
+        Dataset(**{**kwargs, "wind_speed": [math.nan, 6.0, np.float32(math.inf)]})
+
+
+def _plant():
+    (_, _, kwargs), = (c for c in _valid_calls() if c[0] == "Dataset")
+    return Dataset(**kwargs)
+
+
+def _matrix():
+    (_, _, kwargs), = (c for c in _valid_calls() if c[0] == "DesignMatrix")
+    return DesignMatrix(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: persistence_forecast(_plant(), 10**5000), SeriesTooShort,
+         "^dataset has 3 rows, needs more than horizon an integer of 16610 bits$"),
+        (lambda: persistence_forecast(_plant(), np.int64(0)), InvalidConfig, "^horizon_steps must be >= 1, got 0$"),
+        (lambda: persistence_forecast(_plant(), np.int64(3)), SeriesTooShort,
+         "^dataset has 3 rows, needs more than horizon 3$"),
+        (lambda: physical_power(5.0, 1.2, 10**5000, 1.0), BetzViolation,
+         "^power coefficient an integer of 16610 bits exceeds 0.59$"),
+        (lambda: physical_power(5.0, 1.2, np.float64(0.75), 1.0), BetzViolation,
+         "^power coefficient 0.75 exceeds 0.59$"),
+        (lambda: fit_polynomial(_matrix(), 10**5000), DegreeOutOfRange,
+         r"^degree must lie in \[2, 5\], got an integer of 16610 bits$"),
+        (lambda: expand_polynomial(_matrix(), -(10**5000)), DegreeOutOfRange,
+         r"^degree must lie in \[2, 5\], got a negative integer of 16610 bits$"),
+        (lambda: fit_polynomial(_matrix(), np.int64(7)), DegreeOutOfRange, r"^degree must lie in \[2, 5\], got 7$"),
+    ],
+    ids=["huge-horizon", "int64-horizon-low", "int64-horizon-long", "huge-cp", "float64-cp", "huge-degree",
+         "huge-negative-degree", "int64-degree"],
+)
+def test_a_number_in_an_error_text_is_printed_as_str_prints_it_or_by_its_size(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -4,7 +4,9 @@ import io
 import json
 import math
 import operator
+import os
 import re
+import threading
 import warnings
 from dataclasses import fields as dataclass_fields
 from dataclasses import is_dataclass, replace
@@ -41,6 +43,7 @@ from windforecast.harness import (
 from windforecast.metrics import mae, rmse
 
 from test_ann import narrow_net
+from test_constructors import _same
 
 
 def power_series(powers, rated_power=2000.0):
@@ -337,6 +340,8 @@ def test_sweep_trains_each_fraction_once_when_a_network_diverges(monkeypatch):
     d = generate_synthetic(SyntheticConfig(n_samples=400, seed=42))
     cfg = SweepConfig(train_fractions=(0.85, 0.7), models=("ann",), ann_train=FAST_ANN)
     explode_speed_only(monkeypatch)
+    # one process, so that every call reaches the list below
+    monkeypatch.setattr(harness, "_usable_cores", lambda: 1)
     stack_sizes = []
     train_stack = ann.train_stack
 
@@ -349,6 +354,111 @@ def test_sweep_trains_each_fraction_once_when_a_network_diverges(monkeypatch):
         rows = run_sweep(d, cfg)
     assert stack_sizes == [4, 4]
     assert sum(r.error is not None for r in rows) == 2
+
+
+def test_sweep_trains_each_fraction_once_across_worker_processes(monkeypatch, tmp_path):
+    d = generate_synthetic(SyntheticConfig(n_samples=400, seed=42))
+    cfg = SweepConfig(train_fractions=(0.85, 0.7, 0.6), models=("ann",), ann_train=FAST_ANN)
+    explode_speed_only(monkeypatch)
+    monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
+    log = tmp_path / "stacks.log"
+    train_stack = ann.train_stack
+
+    def counting(models, *args):
+        with open(log, "a") as f:  # a line this short is appended whole, from any process
+            f.write(f"{os.getpid()} {len(models)}\n")
+        return train_stack(models, *args)
+
+    monkeypatch.setattr(ann, "train_stack", counting)
+    with np.errstate(all="ignore"):
+        rows = run_sweep(d, cfg)
+    calls = [line.split() for line in log.read_text().splitlines()]
+    assert sorted(size for _, size in calls) == ["4", "4", "4"]
+    pids = [int(pid) for pid, _ in calls]
+    assert pids.count(os.getpid()) == 2 and len(set(pids)) == 2
+    assert sum(r.error is not None for r in rows) == 3
+
+
+def test_sweep_gives_the_same_rows_and_bytes_in_one_process_or_several(monkeypatch):
+    # 100 rows: fraction 0.5 trains on 50, fewer than a batch of 64; speed_only diverges everywhere
+    d = generate_synthetic(SyntheticConfig(n_samples=100, seed=42))
+    cfg = SweepConfig(train_fractions=(0.9, 0.5, 0.8), models=("linear", "ann"),
+                      ann_train=ann.TrainConfig(epochs=2, batch_size=64, seed=42))
+    explode_speed_only(monkeypatch)
+    runs = {}
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(harness, "_usable_cores", lambda: cores)
+        with np.errstate(all="ignore"):
+            runs[cores] = run_sweep(d, cfg)
+    serial = runs[1]
+    errors = [r.error for r in serial if r.model == "ann"]
+    assert errors.count("InvalidConfig: batch_size 64 exceeds training rows 50") == 4
+    assert sum(e is not None and e.startswith("NonFiniteLoss") for e in errors) == 2
+    assert sum(e is None for e in errors) == 6
+    for cores in (2, 3):
+        rows = runs[cores]
+        assert rows == serial
+        assert sweep_csv(rows) == sweep_csv(serial) and sweep_json(rows, cfg) == sweep_json(serial, cfg)
+        for row, alone in zip(rows, serial):
+            assert _same(alone.fitted, row.fitted) and _same(alone.history, row.history)
+            assert type(row.exception) is type(alone.exception)
+
+
+def test_a_worker_that_exits_without_its_results_fails_only_its_own_rows(monkeypatch):
+    import multiprocessing
+
+    d = generate_synthetic(SyntheticConfig(n_samples=200, seed=42))
+    cfg = SweepConfig(train_fractions=(0.85, 0.7), models=("ann",), ann_train=FAST_ANN)
+    parent, train_stack = os.getpid(), ann.train_stack
+
+    def dying(models, *args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return train_stack(models, *args)
+
+    monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(ann, "train_stack", dying)
+    rows = run_sweep(d, cfg)
+    assert [r.error for r in rows if r.train_fraction == 0.85] == [None] * 4
+    lost = {r.error for r in rows if r.train_fraction == 0.7}
+    assert lost == {"ChildProcessError: a worker process exited with code 3 before sending its results"}
+    assert not multiprocessing.active_children()
+
+
+def test_usable_cores_is_one_where_affinity_cannot_be_read(monkeypatch):
+    if hasattr(os, "sched_getaffinity") and hasattr(os, "fork"):
+        assert harness._usable_cores() == len(os.sched_getaffinity(0)) >= 1
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert harness._usable_cores() == 1
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="affinity is read on Linux only")
+def test_usable_cores_is_one_while_another_python_thread_runs():
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    waiter.start()
+    try:
+        assert harness._usable_cores() == 1
+    finally:
+        release.set()
+        waiter.join(timeout=10)
+    assert not waiter.is_alive()
+    assert harness._usable_cores() == len(os.sched_getaffinity(0))
+
+
+def _pool_sweep() -> tuple[int, list]:
+    d = generate_synthetic(SyntheticConfig(n_samples=200, seed=42))
+    cfg = SweepConfig(train_fractions=(0.85, 0.7), models=("ann",), ann_train=FAST_ANN)
+    return harness._usable_cores(), [r.error for r in run_sweep(d, cfg)]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the pool forks its worker")
+def test_a_sweep_in_a_daemonic_pool_worker_trains_in_that_worker_alone():
+    import multiprocessing
+
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        cores, errors = pool.apply_async(_pool_sweep).get(timeout=60)
+    assert cores == 1 and errors == [None] * 8
 
 
 def test_sweep_batch_larger_than_train_rows_fails_every_ann_row_of_that_fraction():
