@@ -14,8 +14,8 @@ from __future__ import annotations
 import functools
 import json
 import os
+import pickle
 import sys
-import threading
 from collections.abc import Hashable
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
@@ -220,21 +220,43 @@ def _grid(cfg: SweepConfig):
 
 def _usable_cores() -> int:
     """The processes ``_forked_map`` may use: the cores this process may run on, where it can
-    fork (Linux), else 1. A process that runs other Python threads, whose locks a fork would
-    copy held, and a daemonic multiprocessing worker (a ``Pool``'s), which may start no child,
-    use 1 too."""
-    if not (hasattr(os, "sched_getaffinity") and hasattr(os, "fork")) or threading.active_count() > 1:
+    fork (Linux), else 1. It is 1 too in a process that runs a second OS thread (a Python
+    thread, or the pool of a multithreaded BLAS: ``OPENBLAS_NUM_THREADS`` unset), since a fork
+    copies the locks that thread holds and each child would start a pool of its own, and in a
+    daemonic multiprocessing worker (a ``Pool``'s), which may start no child."""
+    if not (hasattr(os, "sched_getaffinity") and hasattr(os, "fork")):
+        return 1
+    try:
+        threads = len(os.listdir("/proc/self/task"))
+    except OSError:  # without procfs the threads cannot be counted
         return 1
     multiprocessing = sys.modules.get("multiprocessing")  # a multiprocessing worker has loaded it
-    if multiprocessing is not None and multiprocessing.current_process().daemon:
+    if threads > 1 or (multiprocessing is not None and multiprocessing.current_process().daemon):
         return 1
     return len(os.sched_getaffinity(0))
+
+
+def _named_exception(name: str, text: str) -> Exception:
+    """An exception whose class is called ``name`` and whose text is ``text``; it pickles as the two."""
+    cls = type(name, (Exception,), {"__reduce__": lambda self: (_named_exception, (name, text))})
+    return cls(text)
+
+
+def _portable(result):
+    """``result`` if it survives a pickle round trip, else an exception that prints as ``result``
+    does, if it is one, or as the error of the round trip."""
+    try:
+        pickle.loads(pickle.dumps(result))
+        return result
+    except Exception as exc:
+        shown = result if isinstance(result, Exception) else exc
+        return _named_exception(type(shown).__name__, str(shown))
 
 
 def _send(writer, fn, items) -> None:
     """A forked worker's body: ``fn`` of each of its items, sent back as one list."""
     with writer:
-        writer.send([fn(item) for item in items])
+        writer.send([_portable(fn(item)) for item in items])
 
 
 def _forked_map(fn, items) -> list:
@@ -242,10 +264,12 @@ def _forked_map(fn, items) -> list:
 
     Item i goes to worker i % w. Worker 0 is this process; workers 1..w-1 are forked
     children, which inherit everything ``fn`` reads, so nothing is pickled on the way
-    in, and each sends its results back over a one-way pipe, so they must pickle. With
-    w = 1 no process is forked. Each item of a child that exits before it sends gets a
-    ``ChildProcessError`` naming the exit code. Every child is ended and joined before
-    this returns or raises. ``fn`` must not raise: catch in it what should become a result.
+    in, and each sends its results back over a one-way pipe. A result that does not
+    pickle comes back as an exception that prints as it does (``_portable``), so an
+    exception reads the same from any worker. With w = 1 no process is forked. Each
+    item of a child whose results do not arrive whole gets a ``ChildProcessError``
+    naming its exit code. Every child is ended and joined before this returns or
+    raises. ``fn`` must not raise: catch in it what should become a result.
     """
     workers = min(_usable_cores(), len(items))
     shares = [items[w::workers] for w in range(workers)]
@@ -265,7 +289,7 @@ def _forked_map(fn, items) -> list:
         for (child, reader), share in zip(children, shares[1:]):
             try:
                 results.append(reader.recv())
-            except EOFError:
+            except Exception:  # no message (EOFError), part of one (OSError), or one that does not unpickle
                 child.join()
                 code = child.exitcode
                 lost = ChildProcessError(f"a worker process exited with code {code} before sending its results")

@@ -1,3 +1,11 @@
+import os
+
+# One BLAS thread, as CI and the benchmark run, set before numpy loads: a process with a
+# BLAS thread pool trains its ANN stacks in one process (harness._usable_cores), and the
+# tests that force a fork must fork a process that runs one thread.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_name] = "1"
+
 import pytest
 
 from windforecast.dataset import SyntheticConfig, generate_synthetic

@@ -6,11 +6,16 @@ import math
 import operator
 import os
 import re
+import struct
+import subprocess
+import sys
 import threading
+import time
 import warnings
 from dataclasses import fields as dataclass_fields
 from dataclasses import is_dataclass, replace
 from datetime import datetime, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -425,6 +430,69 @@ def test_a_worker_that_exits_without_its_results_fails_only_its_own_rows(monkeyp
     assert not multiprocessing.active_children()
 
 
+def test_a_worker_that_sends_part_of_its_results_fails_only_its_own_rows(monkeypatch):
+    import multiprocessing
+
+    d = generate_synthetic(SyntheticConfig(n_samples=200, seed=42))
+    cfg = SweepConfig(train_fractions=(0.85, 0.7), models=("ann",), ann_train=FAST_ANN)
+
+    def cut_short(writer, fn, items):
+        # a message header that promises 1 MiB, then 7 bytes of it
+        os.write(writer.fileno(), struct.pack("!i", 1 << 20) + b"partial")
+        os._exit(4)
+
+    monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(harness, "_send", cut_short)
+    rows = run_sweep(d, cfg)
+    assert [r.error for r in rows if r.train_fraction == 0.85] == [None] * 4
+    lost = {r.error for r in rows if r.train_fraction == 0.7}
+    assert lost == {"ChildProcessError: a worker process exited with code 4 before sending its results"}
+    assert not multiprocessing.active_children()
+
+
+class _TwoPartError(Exception):
+    """Pickles, but its default pickle calls the constructor with one argument, so it does not unpickle."""
+
+    def __init__(self, first, second):
+        super().__init__(f"{first} and {second}")
+
+
+def test_an_exception_that_does_not_pickle_reads_the_same_from_a_worker(monkeypatch):
+    class LocalError(Exception):  # a local class does not pickle
+        pass
+
+    d = generate_synthetic(SyntheticConfig(n_samples=200, seed=42))
+    cfg = SweepConfig(train_fractions=(0.85, 0.7, 0.6), models=("ann",), ann_train=FAST_ANN)
+    for error in (LocalError("no pickle"), _TwoPartError("pickles", "does not unpickle")):
+        def failing(models, *args):
+            raise error
+
+        monkeypatch.setattr(ann, "train_stack", failing)
+        runs = {}
+        for cores in (1, 2):
+            monkeypatch.setattr(harness, "_usable_cores", lambda: cores)
+            runs[cores] = run_sweep(d, cfg)
+        assert {r.error for r in runs[1]} == {f"{type(error).__name__}: {error}"}
+        assert runs[2] == runs[1]
+        assert sweep_csv(runs[2]) == sweep_csv(runs[1]) and sweep_json(runs[2], cfg) == sweep_json(runs[1], cfg)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="threads are counted through procfs")
+def test_usable_cores_is_one_while_a_blas_thread_pool_runs():
+    # without the BLAS pin numpy may start a thread pool at import; a process that runs one forks nothing
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(harness.__file__).parents[1]),
+                                                     env.get("PYTHONPATH")]))
+    code = ("import os; from windforecast import harness; "
+            "print(len(os.listdir('/proc/self/task')), harness._usable_cores())")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    threads, cores = map(int, out.stdout.split())
+    if threads > 1:
+        assert cores == 1
+    elif hasattr(os, "sched_getaffinity"):
+        assert cores == len(os.sched_getaffinity(0))
+
+
 def test_usable_cores_is_one_where_affinity_cannot_be_read(monkeypatch):
     if hasattr(os, "sched_getaffinity") and hasattr(os, "fork"):
         assert harness._usable_cores() == len(os.sched_getaffinity(0)) >= 1
@@ -443,6 +511,10 @@ def test_usable_cores_is_one_while_another_python_thread_runs():
         release.set()
         waiter.join(timeout=10)
     assert not waiter.is_alive()
+    # a joined thread's OS thread leaves procfs a moment after join returns
+    deadline = time.monotonic() + 10
+    while len(os.listdir("/proc/self/task")) > 1 and time.monotonic() < deadline:
+        time.sleep(0.01)
     assert harness._usable_cores() == len(os.sched_getaffinity(0))
 
 
