@@ -81,6 +81,14 @@ def _tuple(name: str, values, error: type[DataError]) -> tuple:
         raise error(f"{name} must be a sequence, got {type(values).__name__}") from None
 
 
+def _names(values, error: type[DataError]) -> tuple[str, ...]:
+    """Feature names as a tuple of plain strings; refused with ``error`` unless a sequence of strings."""
+    names = _tuple("feature_names", values, error)
+    if isinstance(values, str) or not all(isinstance(name, str) for name in names):
+        raise error(f"feature names must be a sequence of strings, got {_shown(values)}")
+    return tuple(map(str, names))
+
+
 def _real(name: str, value, low: int | None = None, error: type[DataError] = InvalidConfig) -> float:
     """A config value or model parameter as a plain float; refused with ``error`` unless an int, float or
     numpy number (a bool or a string is not, so none is misread) that is finite and > ``low``, if given."""
@@ -163,11 +171,11 @@ class Dataset:
 
     One array of ``datetime`` timestamps and the four float64 columns of
     ``CSV_HEADER``, row-aligned, read-only and set once here, so instances are
-    immutable and safe to share across threads. Rows are numbered from 1 in
-    error messages.
+    immutable and safe to share across threads. Each row is judged here, once, and
+    numbered from 1 in error messages; a None ``rated_power`` is the peak power.
     """
 
-    def __init__(self, timestamps, wind_speed, wind_direction, temperature, power, rated_power: float):
+    def __init__(self, timestamps, wind_speed, wind_direction, temperature, power, rated_power: float | None):
         stamps = np.array(timestamps, dtype=object)
         # a non-finite value passes, so that _row_problems names its row
         columns = {
@@ -178,11 +186,13 @@ class Dataset:
             raise InvalidConfig("timestamps and the four columns must be 1-D and of equal length")
         if not len(stamps):
             raise EmptyInput("dataset has no records")
-        rated_power = _real("rated_power", rated_power, 0)
+        rated_power = None if rated_power is None else _real("rated_power", rated_power, 0)
         failures = _row_problems(columns, rated_power)
         if failures:
             raise RowParseError((i + 1, reason) for i, reason in failures)
         _check_order(stamps)
+        if rated_power is None:  # the peak power, finite and >= 0 by now; 1.0 for a peak of 0 or -0.0
+            rated_power = float(columns["power"].max()) or 1.0
         stamps.setflags(write=False)
         self._columns = columns
         self._rated_power = rated_power
@@ -200,6 +210,9 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self._records)
+
+    def __reduce__(self):  # an unpickled copy is made by the constructor, so it is checked and read-only too
+        return Dataset, (self._records, *self._columns.values(), self._rated_power)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
@@ -282,7 +295,7 @@ class DesignMatrix:
         target.setflags(write=False)  # ravel copies a target that is not C-ordered
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "target", target)
-        object.__setattr__(self, "feature_names", _tuple("feature_names", self.feature_names, InvalidConfig))
+        object.__setattr__(self, "feature_names", _names(self.feature_names, InvalidConfig))
         n, k = self.rows.shape
         if n != self.target.shape[0]:
             raise InvalidConfig(f"rows has {n} rows but target has {self.target.shape[0]}")
@@ -553,9 +566,8 @@ def generate_synthetic(config: SyntheticConfig = SyntheticConfig()) -> Dataset:
 
 
 def select_features(dataset: Dataset, fs: FeatureSet, rows=slice(None)) -> DesignMatrix:
-    """Project the chosen feature columns of ``rows`` (a slice or ascending row indices, such as a
-    side of ``SplitSpec.sides``); target is always the power column. A Dataset's rows were validated
-    when it was made, and any of them in ascending order still are, so none is validated again."""
+    """The chosen feature columns and the power target of ``rows``, a slice or ascending row indices such as a
+    side of ``SplitSpec.sides``. The Dataset judged each row; the DesignMatrix checks only that they are finite."""
     columns = np.column_stack([dataset.column(name)[rows] for name in fs.columns])
     return DesignMatrix(rows=columns, target=dataset.column("power")[rows], feature_names=fs.columns)
 
@@ -616,11 +628,9 @@ def parse_csv(source, rated_power: float | None = None) -> Dataset:
     not counted: data rows are numbered from 1 after the header. Any row that
     fails to parse or violates the dataset invariants rejects the whole file
     via RowParseError, which keeps every such row. A given ``rated_power``
-    must be finite and > 0; when omitted it is taken as the maximum observed
-    power.
+    must be finite and > 0; when omitted, ``Dataset`` takes it as the peak power.
     """
-    if rated_power is not None:  # checked before any row is judged by it
-        rated_power = _real("rated_power", rated_power, 0)
+    rated_power = None if rated_power is None else _real("rated_power", rated_power, 0)  # before any row is read
     if hasattr(source, "read"):
         source = source.read()
     if isinstance(source, bytes):
@@ -682,15 +692,10 @@ def parse_csv(source, rated_power: float | None = None) -> Dataset:
                     col.append(x)
 
     columns = dict(zip(CSV_HEADER[1:], map(np.frombuffer, storage)))
-    # data row number of each parsed row: every row that failed to parse is skipped
-    parsed_rows = np.delete(np.arange(1, row + 1), sorted({r - 1 for r, _ in failures}))
-    failures += [(int(parsed_rows[i]), reason) for i, reason in _row_problems(columns, rated_power)]
-    if failures:
+    if failures:  # judge the parsed rows here, numbered past the failed ones, so one error names all
+        parsed_rows = np.delete(np.arange(1, row + 1), sorted({r - 1 for r, _ in failures}))
+        failures += [(int(parsed_rows[i]), reason) for i, reason in _row_problems(columns, rated_power)]
         raise RowParseError(sorted(failures, key=lambda failure: failure[0]))
     if not timestamps:
         raise EmptyInput("no data rows")
-    if rated_power is None:
-        rated_power = float(columns["power"].max())
-        if rated_power <= 0:
-            rated_power = 1.0
     return Dataset(timestamps, *columns.values(), rated_power=rated_power)

@@ -35,7 +35,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 from numpy.linalg import lapack_lite  # not documented API, but in every numpy release since 1.0
 
-from .dataset import DesignMatrix, _is_int, _real, _shown, _text, _tuple
+from .dataset import DesignMatrix, _is_int, _names, _real, _shown, _text, _tuple
 from .errors import DegreeOutOfRange, FeatureMismatch, RankDeficient, TooFewRows
 
 MIN_DEGREE, MAX_DEGREE = 2, 5
@@ -48,13 +48,6 @@ _RANK_TOL = 1e-10
 # Rows of the design built and factored at a time: a 4,096-row block of the 57-column
 # degree-5 design is 1.9 MB and stays in cache; 1,024 to 4,096 rows ran alike, 16,384 slower
 BLOCK_ROWS = 4096
-
-
-def _names(values) -> tuple[str, ...]:
-    names = _tuple("feature_names", values, FeatureMismatch)
-    if not all(isinstance(name, str) for name in names):
-        raise FeatureMismatch("feature names must be strings")
-    return names
 
 
 def _coefficients(values) -> tuple[float, ...]:
@@ -73,7 +66,7 @@ class LinearModel:
     def __post_init__(self):
         object.__setattr__(self, "intercept", _real("intercept", self.intercept, error=FeatureMismatch))
         object.__setattr__(self, "coefficients", _coefficients(self.coefficients))
-        object.__setattr__(self, "feature_names", _names(self.feature_names))
+        object.__setattr__(self, "feature_names", _names(self.feature_names, FeatureMismatch))
         if len(self.coefficients) != len(self.feature_names):
             raise FeatureMismatch("coefficient count does not match feature names")
 
@@ -99,9 +92,10 @@ class PolynomialModel:
             raise FeatureMismatch("each exponent must be an integer")
         object.__setattr__(self, "terms", tuple(tuple(int(e) for e in t) for t in terms))
         object.__setattr__(self, "coefficients", _coefficients(self.coefficients))
-        object.__setattr__(self, "feature_names", _names(self.feature_names))
+        object.__setattr__(self, "feature_names", _names(self.feature_names, FeatureMismatch))
         if not (_is_int(self.degree) and MIN_DEGREE <= self.degree <= MAX_DEGREE):
             raise FeatureMismatch(f"degree {_shown(self.degree)} is not an integer in [{MIN_DEGREE}, {MAX_DEGREE}]")
+        object.__setattr__(self, "degree", int(self.degree))
         cond = _real("condition_estimate", self.condition_estimate, error=FeatureMismatch)
         if cond < 1:
             raise FeatureMismatch(f"condition_estimate must be >= 1, got {cond!r}")
@@ -266,6 +260,8 @@ def factor_prefixes(
     n, counts = len(target), _tuple("stops", stops, TooFewRows)
     if not all(_is_int(s) and 0 <= s <= n for s in counts):
         raise TooFewRows(f"each stop must be a row count in [0, {n}], got {_shown(stops)}")
+    if len(feature_names := _names(feature_names, FeatureMismatch)) != len(columns):
+        raise FeatureMismatch(f"{len(columns)} columns but {len(feature_names)} feature names")
     terms = monomial_exponents(len(columns), degree)
     names = ("intercept", *(_term_name(e, feature_names) for e in terms))
 
@@ -287,7 +283,7 @@ def factor_prefixes(
         # so R with its columns divided by them is the R of the equilibrated design
         norms = np.linalg.norm(prefix[:, :-1], axis=0)
         scaled = prefix / np.append(np.where(norms == 0, 1.0, norms), 1.0)
-        factors[stop] = LeastSquaresFactor(scaled, norms, names, degree, tuple(feature_names), stop)
+        factors[stop] = LeastSquaresFactor(scaled, norms, names, degree, feature_names, stop)
     return factors
 
 
@@ -307,12 +303,14 @@ def fit_ols(m: DesignMatrix) -> LinearModel:
     return LinearModel(intercept=beta[0], coefficients=tuple(beta[1:]), feature_names=m.feature_names)
 
 
+def _same_features(model: LinearModel | PolynomialModel, m: DesignMatrix) -> None:
+    if m.feature_names != model.feature_names:
+        raise FeatureMismatch(f"model was fit on {model.feature_names}, matrix has {m.feature_names}")
+
+
 def predict_linear(model: LinearModel, m: DesignMatrix) -> np.ndarray:
     """Intercept plus weighted feature sum, in kW."""
-    if m.feature_names != model.feature_names:
-        raise FeatureMismatch(
-            f"model was fit on {model.feature_names}, matrix has {m.feature_names}"
-        )
+    _same_features(model, m)
     return model.intercept + m.rows @ np.asarray(model.coefficients)
 
 
@@ -324,10 +322,7 @@ def fit_polynomial(m: DesignMatrix, degree: int) -> PolynomialModel:
 
 def predict_polynomial(model: PolynomialModel, m: DesignMatrix) -> np.ndarray:
     """Evaluate the stored monomials on base features, in kW."""
-    if m.feature_names != model.feature_names:
-        raise FeatureMismatch(
-            f"model was fit on {model.feature_names}, matrix has {m.feature_names}"
-        )
+    _same_features(model, m)
     out, scratch, powers = np.zeros(m.n), np.empty(m.n), _powers(m.rows, model.terms)
     for coef, term in zip(model.coefficients, model.terms):
         out += _monomial(powers, term, scratch, coef) if any(term) else coef

@@ -9,6 +9,7 @@ included, is a bare failure at the input edge.
 import functools
 import inspect
 import itertools
+import json
 import math
 import pickle
 from dataclasses import asdict, fields, is_dataclass
@@ -19,13 +20,14 @@ import pytest
 
 from windforecast.ann import MlpModel, TrainConfig, init_network
 from windforecast.dataset import (
-    Dataset, DesignMatrix, FeatureSet, MinMaxScaler, SplitSpec, SyntheticConfig, _integer, _shown, physical_power,
+    CSV_HEADER, Dataset, DesignMatrix, FeatureSet, MinMaxScaler, SplitSpec, SyntheticConfig, _integer, _is_int,
+    _shown, physical_power,
 )
 from windforecast.errors import (
-    BetzViolation, DataError, DegreeOutOfRange, InvalidArchitecture, InvalidConfig, NumericError, SeriesTooShort,
-    TooFewRows,
+    BetzViolation, DataError, DegreeOutOfRange, FeatureMismatch, InvalidArchitecture, InvalidConfig, MalformedModel,
+    NumericError, SeriesTooShort, TooFewRows,
 )
-from windforecast.harness import SweepConfig, persistence_forecast
+from windforecast.harness import SweepConfig, from_json, persistence_forecast, to_json
 from windforecast.regression import LinearModel, PolynomialModel, expand_polynomial, factor_prefixes, fit_polynomial
 
 # (label, value): the label names a value whose repr may be too long to make
@@ -80,8 +82,8 @@ def _valid_calls():
             power=[100.0, 200.0, 300.0], rated_power=2000.0,
         )),
         ("init_network", init_network, dict(input_dim=1, hidden=(4, 4, 4, 4), seed=0)),
-        ("factor_prefixes", functools.partial(factor_prefixes, [x], x**2, ("wind_speed",), degree=2),
-         dict(stops=(10,))),
+        ("factor_prefixes", functools.partial(factor_prefixes, [x], x**2, degree=2),
+         dict(feature_names=("wind_speed",), stops=(10,))),
     ]
 
 
@@ -171,9 +173,13 @@ def test_design_matrix_arrays_are_read_only_float64():
         (lambda: SweepConfig(feature_sets=np.zeros((2, 2, 2))), InvalidConfig, "^feature_set must be one of "),
         (lambda: SweepConfig(models=(["linear"],)), InvalidConfig, r"^model must be one of .*, got \['linear'\]$"),
         (lambda: FeatureSet.parse(3), InvalidConfig, "^unknown feature set 3; choose from "),
+        (lambda: factor_prefixes([np.ones(3)], np.ones(3), "x", (3,)), FeatureMismatch,
+         "^feature names must be a sequence of strings, got 'x'$"),
+        (lambda: factor_prefixes([np.ones(3)], np.ones(3), ("x", "y"), (3,)), FeatureMismatch,
+         "^1 columns but 2 feature names$"),
     ],
     ids=["float-seed", "negative-seed", "int-hidden", "int-stops", "array-model", "array-axis", "list-model",
-         "int-feature-set"],
+         "int-feature-set", "string-names", "name-count"],
 )
 def test_a_value_of_the_wrong_kind_is_refused_by_its_check(make, error, message):
     with pytest.raises(error, match=message):
@@ -190,8 +196,15 @@ def test_an_activation_that_is_no_name_is_refused(name):
             MlpModel(net.layer_sizes, tuple(activations), net.weights, net.biases)
 
 
+def _held(d: Dataset) -> tuple:
+    """What a Dataset holds: its timestamps, its four columns and its rated power."""
+    return d.timestamps, *map(d.column, CSV_HEADER[1:]), d.rated_power
+
+
 def _same(a, b) -> bool:
     """Whether a and b hold equal values of the same types, every array of b read-only."""
+    if isinstance(a, Dataset):
+        return type(b) is Dataset and _same(_held(a), _held(b))
     if is_dataclass(a):
         return type(a) is type(b) and all(_same(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
     if isinstance(a, tuple):
@@ -201,7 +214,9 @@ def _same(a, b) -> bool:
     return type(a) is type(b) and a == b
 
 
-@pytest.mark.parametrize("make, kwargs", [pytest.param(*c[1:], id=c[0]) for c in _valid_calls() if is_dataclass(c[1])])
+@pytest.mark.parametrize(
+    "make, kwargs", [pytest.param(*c[1:], id=c[0]) for c in _valid_calls() if is_dataclass(c[1]) or c[1] is Dataset],
+)
 def test_a_value_unpickles_equal_with_read_only_arrays(make, kwargs):
     value = make(**kwargs)
     assert _same(value, pickle.loads(pickle.dumps(value)))
@@ -237,6 +252,62 @@ def _plant():
 def _matrix():
     (_, _, kwargs), = (c for c in _valid_calls() if c[0] == "DesignMatrix")
     return DesignMatrix(**kwargs)
+
+
+def _variant(value, kind):
+    """``value`` with every sequence in it made a ``kind`` (list or tuple), or with ``kind`` None, every
+    plain int and float in it made a numpy scalar."""
+    if isinstance(value, (list, tuple, np.ndarray)) and not (kind is None and isinstance(value, np.ndarray)):
+        items = [_variant(v, kind) for v in value]
+        return type(value)(items) if kind is None else kind(items)
+    if kind is None and _is_int(value):
+        return np.int64(value)
+    return np.float64(value) if kind is None and type(value) is float else value
+
+
+def _as_given(given, stored) -> bool:
+    """Whether ``stored`` equals ``given`` up to plain int, float or tuple conversion, or a read-only
+    float64 array, at every level."""
+    if isinstance(stored, np.ndarray):
+        expected = np.asarray(given, dtype=np.float64)
+        return stored.dtype == np.float64 and not stored.flags.writeable and np.array_equal(stored, expected)
+    if isinstance(given, (list, tuple, np.ndarray)):
+        return type(stored) is tuple and len(stored) == len(given) and all(map(_as_given, given, stored))
+    if is_dataclass(given):
+        return type(stored) is type(given) and all(_as_given(getattr(given, f.name), getattr(stored, f.name))
+                                                   for f in fields(given))
+    plain = int if _is_int(given) else float if isinstance(given, float) else type(given)
+    return type(stored) is plain and stored == given
+
+
+@pytest.mark.parametrize("make, kwargs", [pytest.param(*c[1:], id=c[0]) for c in _valid_calls() if is_dataclass(c[1])])
+def test_a_value_a_constructor_accepts_is_stored_as_given(make, kwargs):
+    changed = []
+    for name, kind in itertools.product(kwargs, (None, list, tuple)):
+        given = _variant(kwargs[name], kind)
+        value = make(**{**kwargs, name: given})
+        if not _as_given(given, getattr(value, name)):
+            changed.append(f"{name}={given!r} is stored as {getattr(value, name)!r}")
+        if make in (MlpModel, PolynomialModel, LinearModel):
+            to_json(value)
+    assert not changed, "\n".join(changed)
+
+
+@pytest.mark.parametrize(
+    "names", ["wind_speed", np.zeros((1, 1)), [np.array(["wind_speed"])]], ids=["string", "array", "array-name"],
+)
+def test_names_that_are_no_sequence_of_strings_are_refused_by_the_one_rule(names):
+    calls = {c[0]: c for c in _valid_calls()}
+    for label, error in (("DesignMatrix", InvalidConfig), ("LinearModel", FeatureMismatch),
+                         ("PolynomialModel", FeatureMismatch)):
+        _, make, kwargs = calls[label]
+        with pytest.raises(error, match="^feature names must be a sequence of strings, got "):
+            make(**{**kwargs, "feature_names": names})
+        if label != "DesignMatrix":
+            document = json.loads(to_json(make(**kwargs)))
+            document["feature_names"] = names if isinstance(names, str) else [["wind_speed"]]
+            with pytest.raises(MalformedModel, match="malformed value: feature names must be a sequence of strings"):
+                from_json(json.dumps(document))
 
 
 @pytest.mark.parametrize(

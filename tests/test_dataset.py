@@ -321,6 +321,46 @@ def test_parse_infers_rated_power_from_peak():
     assert parse_csv(text).rated_power == 1500.0
 
 
+def _count_row_judgments(monkeypatch) -> list:
+    """The argument tuples of every ``_row_problems`` call from here on."""
+    calls, judge = [], dataset._row_problems
+    monkeypatch.setattr(dataset, "_row_problems", lambda *args: calls.append(args) or judge(*args))
+    return calls
+
+
+@pytest.mark.parametrize("rated_power", [None, 2000.0])
+def test_a_parsed_file_is_judged_once(monkeypatch, rated_power):
+    calls = _count_row_judgments(monkeypatch)
+    parse_csv(_csv([f"2019-01-01T00:{m:02d}:00,5.0,100.0,20.0,400.0" for m in (0, 15, 30)]), rated_power)
+    assert len(calls) == 1
+
+
+def test_a_file_with_an_unparseable_and_an_invalid_row_is_judged_once_naming_both(monkeypatch):
+    calls = _count_row_judgments(monkeypatch)
+    text = _csv(["2019-01-01T00:00:00,5.0,x,20.0,400.0", "2019-01-01T00:15:00,-1.0,100.0,20.0,400.0"])
+    with pytest.raises(RowParseError) as exc:
+        parse_csv(text)
+    assert str(exc.value) == "2 invalid row(s): row 1: bad wind_direction value 'x'; row 2: wind_speed -1.0 < 0"
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "powers, rated_power",
+    [([400.0, 1500.0, 0.0], 1500.0), ([0.0, 0.0, 0.0], 1.0), ([-0.0, -0.0, -0.0], 1.0)],
+    ids=["peak", "all-zero", "minus-zero"],
+)
+def test_dataset_without_rated_power_takes_the_peak_as_parse_does(powers, rated_power):
+    d = toy_dataset(powers, rated_power=None)
+    assert d.rated_power == rated_power and d == parse_csv(write_csv(d))
+
+
+@pytest.mark.parametrize("power", [math.nan, math.inf])
+def test_dataset_without_rated_power_names_a_non_finite_power_by_its_row(power):
+    with pytest.raises(RowParseError) as exc:
+        toy_dataset([400.0, power, 300.0], rated_power=None)
+    assert str(exc.value) == "1 invalid row(s): row 2: power is not finite"
+
+
 def test_roundtrip_write_then_parse(synthetic_5k):
     text = write_csv(synthetic_5k)
     again = parse_csv(text, rated_power=synthetic_5k.rated_power)
