@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import DesignMatrix, MinMaxScaler, fit_scaler
+from .dataset import DesignMatrix, MinMaxScaler, _checked_reals, fit_scaler
 from .dataset import _by_constructor, _csv_text, _integer, _is_int, _real, _reals, _rng, _shown, _tuple
 from .errors import (
     DimensionMismatch,
@@ -79,15 +79,11 @@ class TrainConfig:
     batch_size: int = 32
     learning_rate: float = 1e-3
     seed: int = 0
-    optimizer: str = "adam"
 
     def __post_init__(self):
         for name in ("epochs", "batch_size"):
             object.__setattr__(self, name, _integer(name, getattr(self, name), 1))
         object.__setattr__(self, "learning_rate", _real("learning_rate", self.learning_rate, 0))
-        if not (isinstance(self.optimizer, str) and self.optimizer.lower() in ("sgd", "adam")):
-            raise InvalidConfig(f"optimizer must be 'sgd' or 'adam', got {_shown(self.optimizer)}")
-        object.__setattr__(self, "optimizer", self.optimizer.lower())
         object.__setattr__(self, "seed", _integer("seed", self.seed, 0))
 
 
@@ -98,7 +94,10 @@ class TrainHistory:
     losses: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "losses", tuple(float(x) for x in self.losses))
+        losses = _checked_reals("losses", self.losses, finite=False)
+        if losses.ndim != 1:
+            raise InvalidConfig(f"losses must be 1-D, got shape {losses.shape}")
+        object.__setattr__(self, "losses", tuple(losses.tolist()))
 
 
 @dataclass(frozen=True)
@@ -301,7 +300,7 @@ def train(
     cfg: TrainConfig,
     target_scale: float | None = None,
 ) -> tuple[MlpModel, TrainHistory]:
-    """Mini-batch gradient descent on scaled MSE; returns a new model.
+    """Mini-batch Adam on scaled MSE; returns a new model.
 
     The input scaler is fit on ``train_matrix`` here, so training data never
     leaks evaluation statistics. Batches are drawn by a PCG64 shuffle each
@@ -329,7 +328,7 @@ def train_stack(
     for the whole stack. Inputs are zero-padded to the widest network. Each
     result equals ``train`` of that network alone, bit for bit: the networks
     share no arithmetic, and their padded weight columns start at 0 and get a
-    gradient of exactly 0, so Adam and SGD keep them at 0. A network whose loss
+    gradient of exactly 0, so Adam keeps them at 0. A network whose loss
     turns non-finite fails alone: its result is a ``NonFiniteLoss``, and zeroing
     its parameters and optimizer state keeps it finite. Training ends once all fail.
     """
@@ -361,11 +360,9 @@ def train_stack(
 
     grad = np.zeros_like(theta)
     grads_w, grads_b = _layer_views(grad, sizes)
-    adam = cfg.optimizer == "adam"
-    if adam:
-        m = np.zeros_like(theta)
-        v = np.zeros_like(theta)
-        step = 0
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
+    step = 0
 
     rng = _rng(cfg.seed)
     lr = cfg.learning_rate
@@ -383,22 +380,19 @@ def train_stack(
             )
             diverged = ~np.isfinite(batch_loss)
             if diverged.any():
-                for state in (theta, grad, m, v) if adam else (theta, grad):
+                for state in (theta, grad, m, v):
                     state[diverged] = 0.0
                 failed_at[diverged & (failed_at == 0)] = epoch + 1
                 if failed_at.all():
                     return [NonFiniteLoss(e, lr) for e in failed_at.tolist()]
             sse += batch_loss * (stop - start)
-            if adam:
-                step += 1
-                c1 = 1.0 - ADAM_BETA1**step
-                c2 = 1.0 - ADAM_BETA2**step
-                m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * grad
-                v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * grad**2
-                # lr*(m/c1), not (lr/c1)*m: folding the scalars changes the rounding
-                theta -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
-            else:
-                theta -= lr * grad
+            step += 1
+            c1 = 1.0 - ADAM_BETA1**step
+            c2 = 1.0 - ADAM_BETA2**step
+            m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * grad
+            v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * grad**2
+            # lr*(m/c1), not (lr/c1)*m: folding the scalars changes the rounding
+            theta -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
         losses.append(sse / n)
 
     return [

@@ -103,18 +103,24 @@ def _real(name: str, value, low: int | None = None, error: type[DataError] = Inv
     return number
 
 
-def _reals(name: str, values, error: type[DataError] = InvalidConfig, finite: bool = True) -> np.ndarray:
-    """Numbers as a read-only float64 array: a finite float64 array is copied as it is,
+def _checked_reals(name: str, values, error: type[DataError] = InvalidConfig, finite: bool = True) -> np.ndarray:
+    """Numbers as a float64 array: a finite float64 array comes back as it is, uncopied,
     anything else is checked entry by entry with ``_real``, so no bool or string is read as a number.
-    With ``finite`` false a float may also be NaN or infinite, and any float64 array is copied."""
-    if not (isinstance(values, np.ndarray) and values.dtype == np.float64
-            and (not finite or np.isfinite(values).all())):
-        entries = np.asarray(values, dtype=object)
-        values = np.array([
-            v if not finite and isinstance(v, (float, np.floating)) else _real(name, v, error=error)
-            for v in entries.flat
-        ]).reshape(entries.shape)
-    return _readonly(values)
+    With ``finite`` false a float may also be NaN or infinite, and any float64 array comes back as it is."""
+    if type(values) is np.ndarray and values.dtype == np.float64 and (not finite or np.isfinite(values).all()):
+        return values
+    entries = np.asarray(values, dtype=object)
+    return np.array([
+        v if not finite and isinstance(v, (float, np.floating)) else _real(name, v, error=error)
+        for v in entries.flat
+    ], dtype=np.float64).reshape(entries.shape)
+
+
+def _reals(name: str, values, error: type[DataError] = InvalidConfig, finite: bool = True) -> np.ndarray:
+    """A read-only float64 copy of what ``_checked_reals`` returns."""
+    values = np.array(_checked_reals(name, values, error, finite))
+    values.setflags(write=False)
+    return values
 
 
 def _row_problems(columns: dict[str, np.ndarray], rated_power: float | None) -> list[tuple[int, str]]:
@@ -190,6 +196,9 @@ class Dataset:
         failures = _row_problems(columns, rated_power)
         if failures:
             raise RowParseError((i + 1, reason) for i, reason in failures)
+        if not all(issubclass(kind, datetime) for kind in set(map(type, stamps))):
+            bad = next(t for t in stamps if not isinstance(t, datetime))
+            raise InvalidConfig(f"timestamps must be datetimes, got {_shown(bad)}")
         _check_order(stamps)
         if rated_power is None:  # the peak power, finite and >= 0 by now; 1.0 for a peak of 0 or -0.0
             rated_power = float(columns["power"].max()) or 1.0
@@ -269,12 +278,6 @@ def _by_constructor(self) -> tuple:
     """``__reduce__`` of a frozen dataclass that holds arrays: an unpickled copy is made by the
     constructor, so it is checked and its arrays are read-only, as the original's are."""
     return type(self), tuple(getattr(self, f.name) for f in fields(self))
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=np.float64)
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)
@@ -365,7 +368,7 @@ class MinMaxScaler:
     def transform_array(self, x: np.ndarray) -> np.ndarray:
         span = self.maxs - self.mins
         constant = span == 0
-        scaled = (np.asarray(x, dtype=np.float64) - self.mins) / np.where(constant, 1.0, span)
+        scaled = (_checked_reals("x", x, finite=False) - self.mins) / np.where(constant, 1.0, span)
         # constant feature: span forced to 1 above, numerator is 0 on the
         # training range; zero it explicitly so unseen values also map to 0
         if np.any(constant):

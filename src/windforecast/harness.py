@@ -422,7 +422,8 @@ def sweep_json(rows: list[SweepRow], cfg: SweepConfig) -> str:
             "models": list(cfg.models),
             "seed": cfg.seed,
             "persistence_horizons": list(cfg.persistence_horizons),
-            "ann_train": asdict(cfg.ann_train),
+            # Adam is the one optimizer; the field stays, so the v1 schema keeps every byte
+            "ann_train": {**asdict(cfg.ann_train), "optimizer": "adam"},
         },
         "rows": [dict(zip(SWEEP_COLUMNS, _row_values(row))) for row in rows],
     }

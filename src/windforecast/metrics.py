@@ -10,30 +10,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import _checked_reals
 from .errors import ConstantActual, Empty, LengthMismatch
 
 
-def _paired(actual, predicted) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(actual, dtype=np.float64).ravel()
-    p = np.asarray(predicted, dtype=np.float64).ravel()
-    if a.shape != p.shape:
-        raise LengthMismatch(f"length {a.shape[0]} vs {p.shape[0]}")
-    return a, p
+def _paired(actual, predicted, names=("actual", "predicted"), score: str = "") -> tuple[np.ndarray, np.ndarray]:
+    """Two vectors, raveled; refused unless their lengths are equal and, for a named ``score``, unless they
+    are empty, and then read through the number rule (NaN and +-inf pass), so a length is judged first."""
+    pair = [v if type(v) is np.ndarray else np.asarray(v, dtype=object) for v in (actual, predicted)]
+    if pair[0].size != pair[1].size:
+        raise LengthMismatch(f"length {pair[0].size} vs {pair[1].size}")
+    if score and pair[0].size == 0:
+        raise Empty(f"{score} needs at least one sample")
+    return tuple(_checked_reals(name, v, finite=False).ravel() for name, v in zip(names, pair))
 
 
 def mae(actual, predicted) -> float:
     """Mean absolute deviation between actuals and predictions, in kW."""
-    a, p = _paired(actual, predicted)
-    if a.size == 0:
-        raise Empty("mae needs at least one sample")
+    a, p = _paired(actual, predicted, score="mae")
     return float(np.mean(np.abs(a - p)))
 
 
 def rmse(actual, predicted) -> float:
     """Root mean squared deviation, in kW."""
-    a, p = _paired(actual, predicted)
-    if a.size == 0:
-        raise Empty("rmse needs at least one sample")
+    a, p = _paired(actual, predicted, score="rmse")
     return float(np.sqrt(np.mean((a - p) ** 2)))
 
 
@@ -44,9 +44,7 @@ def r_squared(actual, predicted) -> float:
     allowed (worse than the mean). Constant actuals are rejected rather
     than returning NaN.
     """
-    a, p = _paired(actual, predicted)
-    if a.size == 0:
-        raise Empty("r_squared needs at least one sample")
+    a, p = _paired(actual, predicted, score="r_squared")
     ss_tot = float(np.sum((a - a.mean()) ** 2))
     if ss_tot == 0.0:
         raise ConstantActual("actual values are constant; R^2 is undefined")

@@ -6,8 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, _csv_text, _readonly
-from .errors import ConstantInput, LengthMismatch
+from .dataset import Dataset, _by_constructor, _csv_text, _names, _reals
+from .errors import ConstantInput, InvalidConfig
+from .metrics import _paired
 
 CORRELATION_COLUMNS = ("wind_speed", "wind_direction", "temperature", "power")
 
@@ -18,10 +19,7 @@ def pearson(x, y) -> float:
     Two-pass computation (mean first, then centered moments) keeps the
     result stable on long series.
     """
-    x = np.asarray(x, dtype=np.float64).ravel()
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if x.shape != y.shape:
-        raise LengthMismatch(f"length {x.shape[0]} vs {y.shape[0]}")
+    x, y = _paired(x, y, names=("x", "y"))
     if x.shape[0] < 2:
         raise ConstantInput("need at least 2 samples")
     dx = x - x.mean()
@@ -41,9 +39,14 @@ class CorrelationMatrix:
     labels: tuple[str, ...]
     values: np.ndarray
 
+    __reduce__ = _by_constructor
+
     def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "values", _readonly(self.values))
+        object.__setattr__(self, "labels", _names(self.labels, InvalidConfig))
+        object.__setattr__(self, "values", _reals("values", self.values, finite=False))
+        k = len(self.labels)
+        if self.values.shape != (k, k):
+            raise InvalidConfig(f"values must be {k} x {k}, one per label pair, got shape {self.values.shape}")
 
     def lookup(self, a: str, b: str) -> float:
         return float(self.values[self.labels.index(a), self.labels.index(b)])

@@ -250,9 +250,6 @@ def test_train_config_validation():
         message = f"^learning_rate must be finite and > 0, got {re.escape(repr(learning_rate))}$"
         with pytest.raises(InvalidConfig, match=message):
             TrainConfig(learning_rate=learning_rate)
-    with pytest.raises(InvalidConfig):
-        TrainConfig(optimizer="rmsprop")
-    assert TrainConfig(optimizer="Adam").optimizer == "adam"
 
 
 @pytest.mark.parametrize("field", ["epochs", "batch_size", "seed"])
@@ -315,11 +312,12 @@ def test_train_divergence_raises_non_finite_loss():
     rng = np.random.default_rng(0)
     x = rng.uniform(0.0, 1.0, 200)
     m = dm(x, 2.0 * x)
-    cfg = TrainConfig(epochs=5, learning_rate=1e20, optimizer="sgd", seed=0)
+    # Adam's step is about lr per parameter whatever the gradient: lr 1e20 still trains for 5 epochs
+    cfg = TrainConfig(epochs=5, learning_rate=1e200, seed=0)
     with np.errstate(all="ignore"):  # overflow on the way to divergence is the point
         with pytest.raises(NonFiniteLoss) as exc:
             train(init_network(1, seed=1), m, cfg)
-    assert exc.value.learning_rate == 1e20
+    assert (exc.value.epoch, exc.value.learning_rate) == (1, 1e200)
 
 
 def test_training_loss_mostly_nonincreasing(synthetic_5k):
@@ -388,33 +386,27 @@ def reference_train(model, m, cfg, target_scale):
             idx = order[start : start + cfg.batch_size]
             loss, gw, gb = reference_loss_and_grads(weights, biases, model.activations, x[idx], y[idx])
             sse += loss * len(idx)
-            if cfg.optimizer == "adam":
-                step += 1
-                c1, c2 = 1.0 - b1**step, 1.0 - b2**step
-                for l in range(len(weights)):
-                    m_w[l] = b1 * m_w[l] + (1 - b1) * gw[l]
-                    v_w[l] = b2 * v_w[l] + (1 - b2) * gw[l] ** 2
-                    weights[l] -= lr * (m_w[l] / c1) / (np.sqrt(v_w[l] / c2) + eps)
-                    m_b[l] = b1 * m_b[l] + (1 - b1) * gb[l]
-                    v_b[l] = b2 * v_b[l] + (1 - b2) * gb[l] ** 2
-                    biases[l] -= lr * (m_b[l] / c1) / (np.sqrt(v_b[l] / c2) + eps)
-            else:
-                for l in range(len(weights)):
-                    weights[l] -= lr * gw[l]
-                    biases[l] -= lr * gb[l]
+            step += 1
+            c1, c2 = 1.0 - b1**step, 1.0 - b2**step
+            for l in range(len(weights)):
+                m_w[l] = b1 * m_w[l] + (1 - b1) * gw[l]
+                v_w[l] = b2 * v_w[l] + (1 - b2) * gw[l] ** 2
+                weights[l] -= lr * (m_w[l] / c1) / (np.sqrt(v_w[l] / c2) + eps)
+                m_b[l] = b1 * m_b[l] + (1 - b1) * gb[l]
+                v_b[l] = b2 * v_b[l] + (1 - b2) * gb[l] ** 2
+                biases[l] -= lr * (m_b[l] / c1) / (np.sqrt(v_b[l] / c2) + eps)
         losses.append(sse / m.n)
     return weights, biases, losses
 
 
-@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
 @pytest.mark.parametrize(
     "fs", [FeatureSet.SPEED_ONLY, FeatureSet.SPEED_DIRECTION, FeatureSet.SPEED_DIRECTION_TEMPERATURE]
 )
-def test_train_matches_per_array_reference_bit_for_bit(fs, optimizer):
+def test_train_matches_per_array_reference_bit_for_bit(fs):
     d = generate_synthetic(SyntheticConfig(n_samples=203, seed=14))  # 6 batches of 32 + 11
     m = select_features(d, fs)
     net = init_network(m.k, seed=15)
-    cfg = TrainConfig(epochs=3, batch_size=32, learning_rate=0.01, seed=16, optimizer=optimizer)
+    cfg = TrainConfig(epochs=3, batch_size=32, learning_rate=0.01, seed=16)
     trained, history = train(net, m, cfg, target_scale=d.rated_power)
     weights, biases, losses = reference_train(net, m, cfg, d.rated_power)
     assert list(history.losses) == losses
@@ -422,14 +414,13 @@ def test_train_matches_per_array_reference_bit_for_bit(fs, optimizer):
         assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
-def test_stack_matches_single_networks_bit_for_bit(monkeypatch, optimizer):
+def test_stack_matches_single_networks_bit_for_bit(monkeypatch):
     # 6 batches of 32 + 11: BLAS rounds an 11-row product with a strided
     # 1-column operand differently, so the last batch checks layer 0's layout
     d = generate_synthetic(SyntheticConfig(n_samples=203, seed=14))
     mats = [select_features(d, fs) for fs in FeatureSet]
     nets = [init_network(m.k, seed=15) for m in mats]
-    cfg = TrainConfig(epochs=3, batch_size=32, learning_rate=0.01, seed=16, optimizer=optimizer)
+    cfg = TrainConfig(epochs=3, batch_size=32, learning_rate=0.01, seed=16)
     steps = []  # per call: each network's padding-is-zero flag and its gradients at its own width
     loss_and_grads = ann._loss_and_grads
 
@@ -467,14 +458,13 @@ def test_stack_matches_single_networks_bit_for_bit(monkeypatch, optimizer):
             assert np.array_equal(got_array, want_array)
 
 
-@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
-def test_stack_divergence_fails_only_its_own_network(monkeypatch, optimizer):
+def test_stack_divergence_fails_only_its_own_network(monkeypatch):
     rng = np.random.default_rng(0)
     x = rng.uniform(0.0, 1.0, 200)
     m = dm(x, 2.0 * x)
     calm = init_network(1, seed=1)
     wild = replace(calm, weights=tuple(w * 1e160 for w in calm.weights))
-    cfg = TrainConfig(epochs=2, seed=0, optimizer=optimizer)
+    cfg = TrainConfig(epochs=2, seed=0)
     alone, alone_history = train(calm, m, cfg)
     with np.errstate(all="ignore"):  # overflow on the way to divergence is the point
         first, failed, last = ann.train_stack([calm, wild, calm], [m, m, m], cfg)

@@ -1,9 +1,10 @@
-"""Every public constructor refuses a hostile field value with a documented error.
+"""Every public constructor, and every function that scores vectors, refuses a
+hostile value with a documented error.
 
-Each field of each constructor is replaced, in an otherwise valid call, by
-each value of ``HOSTILE``: the call must return, or raise a ``DataError`` or
-``NumericError`` whose text can be made. Any other exception, a warning
-included, is a bare failure at the input edge.
+Each field of each constructor, or argument of each function, is replaced, in
+an otherwise valid call, by each value of ``HOSTILE``: the call must return, or
+raise a ``DataError`` or ``NumericError`` whose text can be made. Any other
+exception, a warning included, is a bare failure at the input edge.
 """
 
 import functools
@@ -12,23 +13,26 @@ import itertools
 import json
 import math
 import pickle
+import re
 from dataclasses import asdict, fields, is_dataclass
 from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
 
-from windforecast.ann import MlpModel, TrainConfig, init_network
+from windforecast.ann import MlpModel, TrainConfig, TrainHistory, init_network
 from windforecast.dataset import (
-    CSV_HEADER, Dataset, DesignMatrix, FeatureSet, MinMaxScaler, SplitSpec, SyntheticConfig, _integer, _is_int,
-    _shown, physical_power,
+    CSV_HEADER, Dataset, DesignMatrix, FeatureSet, MinMaxScaler, SplitSpec, SyntheticConfig, _checked_reals,
+    _integer, _is_int, _shown, physical_power,
 )
 from windforecast.errors import (
     BetzViolation, DataError, DegreeOutOfRange, FeatureMismatch, InvalidArchitecture, InvalidConfig, MalformedModel,
     NumericError, SeriesTooShort, TooFewRows,
 )
 from windforecast.harness import SweepConfig, from_json, persistence_forecast, to_json
+from windforecast.metrics import EvalReport, mae, r_squared, rmse
 from windforecast.regression import LinearModel, PolynomialModel, expand_polynomial, factor_prefixes, fit_polynomial
+from windforecast.stats import CorrelationMatrix, pearson
 
 # (label, value): the label names a value whose repr may be too long to make
 HOSTILE = [
@@ -50,6 +54,7 @@ HOSTILE = [
     ("[]", []),
     ("zeros((2, 2, 2))", np.zeros((2, 2, 2))),
     ("{}", {}),
+    ("[None, None, None]", [None, None, None]),
 ]
 
 
@@ -84,6 +89,16 @@ def _valid_calls():
         ("init_network", init_network, dict(input_dim=1, hidden=(4, 4, 4, 4), seed=0)),
         ("factor_prefixes", functools.partial(factor_prefixes, [x], x**2, degree=2),
          dict(feature_names=("wind_speed",), stops=(10,))),
+        # one-sample vectors, so that a lone number reaches the number rule
+        ("mae", mae, dict(actual=[1.0], predicted=[2.0])),
+        ("rmse", rmse, dict(actual=[1.0], predicted=[2.0])),
+        ("r_squared", r_squared, dict(actual=[1.0, 2.0], predicted=[1.5, 2.5])),
+        ("EvalReport.from_predictions", EvalReport.from_predictions, dict(actual=[1.0, 2.0], predicted=[1.5, 2.5])),
+        ("pearson", pearson, dict(x=[1.0, 2.0], y=[2.0, 5.0])),
+        ("MinMaxScaler.transform_array", MinMaxScaler(mins=[0.0], maxs=[2.0]).transform_array, dict(x=[[1.0]])),
+        ("CorrelationMatrix", CorrelationMatrix,
+         dict(labels=("wind_speed", "power"), values=[[1.0, 0.5], [0.5, 1.0]])),
+        ("TrainHistory", TrainHistory, dict(losses=(0.5, 0.25))),
     ]
 
 
@@ -334,3 +349,53 @@ def test_names_that_are_no_sequence_of_strings_are_refused_by_the_one_rule(names
 def test_a_number_in_an_error_text_is_printed_as_str_prints_it_or_by_its_size(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: mae([True], [1.0]), "^actual must be finite, got True$"),
+        (lambda: rmse([1.0], ["2.0"]), "^predicted must be finite, got '2.0'$"),
+        (lambda: r_squared(None, [1.0]), "^actual must be finite, got None$"),
+        (lambda: EvalReport.from_predictions([1.0, 2.0], [1.0, None]), "^predicted must be finite, got None$"),
+        (lambda: pearson([True, False], [1, 2]), "^x must be finite, got True$"),
+        (lambda: pearson([1, 2], ["1", "2"]), "^y must be finite, got '1'$"),
+        (lambda: MinMaxScaler(mins=[0.0], maxs=[1.0]).transform_array([[None]]), "^x must be finite, got None$"),
+        (lambda: TrainHistory(5), r"^losses must be 1-D, got shape \(\)$"),
+        (lambda: TrainHistory("ab"), "^losses must be finite, got 'ab'$"),
+        (lambda: CorrelationMatrix("ab", np.eye(2)), "^feature names must be a sequence of strings, got 'ab'$"),
+        (lambda: CorrelationMatrix(("a", "b"), "x"), "^values must be finite, got 'x'$"),
+        (lambda: CorrelationMatrix(("a", "b"), np.eye(3)),
+         r"^values must be 2 x 2, one per label pair, got shape \(3, 3\)$"),
+    ],
+    ids=["bool", "string", "none", "none-entry", "bool-pair", "string-pair", "none-scaled", "history-scalar",
+         "history-string", "labels-string", "values-string", "values-shape"],
+)
+def test_a_scored_vector_or_result_of_no_numbers_is_refused_naming_it(call, message):
+    with pytest.raises(InvalidConfig, match=message):
+        call()
+
+
+def test_a_scored_vector_reads_nan_as_nan_and_a_float64_array_without_a_copy():
+    assert math.isnan(mae([math.nan], [1.0]))
+    assert math.isinf(rmse([math.inf], [1.0]))
+    assert math.isnan(EvalReport.from_predictions([1.0, 2.0], [1.0, math.nan]).r_squared)
+    a = np.array([1.0, 2.0])
+    assert np.shares_memory(_checked_reals("actual", a, finite=False), a)
+    assert np.shares_memory(_checked_reals("actual", a), a)
+
+
+@pytest.mark.parametrize(
+    "timestamps, shown",
+    [
+        (["2019-01-01T00:00:00", "2019-01-01T00:15:00", "2019-01-01T00:30:00"], "'2019-01-01T00:00:00'"),
+        (np.arange("2019-01-01T00:00", "2019-01-01T00:45", 15, dtype="datetime64[m]").astype("datetime64[ns]"),
+         "1546300800000000000"),
+        ([datetime(2019, 1, 1).date(), datetime(2019, 1, 2), datetime(2019, 1, 3)], "datetime.date(2019, 1, 1)"),
+    ],
+    ids=["iso-strings", "datetime64-ns", "date"],
+)
+def test_dataset_refuses_a_timestamp_that_is_no_datetime(timestamps, shown):
+    (_, _, kwargs), = (c for c in _valid_calls() if c[0] == "Dataset")
+    with pytest.raises(InvalidConfig, match=f"^timestamps must be datetimes, got {re.escape(shown)}$"):
+        Dataset(**{**kwargs, "timestamps": timestamps})

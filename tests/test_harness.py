@@ -633,8 +633,6 @@ def _wrong_kind_cases():
         for name in names:
             for value in (True, "1", None, math.nan):
                 yield config, name, value
-    for value in (None, 1, True):
-        yield ann.TrainConfig, "optimizer", value
     for value in (None, True, "adam", math.nan):
         yield SweepConfig, "ann_train", value
     # a scalar and a string per axis, then one-value axes of the wrong kind

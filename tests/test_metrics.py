@@ -63,6 +63,9 @@ def test_errors():
         r_squared([5.0, 5.0], [1.0, 2.0])
     with pytest.raises(LengthMismatch):
         r_squared([1.0, 2.0], [1.0])
+    # lengths are judged before the entries, so a length error reads the same whatever the entries hold
+    with pytest.raises(LengthMismatch, match=r"^length 1 vs 2$"):
+        r_squared(True, [1.0, 2.0])
 
 
 def test_mae_rmse_symmetric_r2_not():
