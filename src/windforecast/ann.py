@@ -262,7 +262,8 @@ def _stack_params(models) -> tuple[np.ndarray, tuple[int, ...], list[np.ndarray]
 
 
 def _peak_scale(target: np.ndarray) -> float:
-    """The default target_scale: the largest absolute target, or 1.0 when every target is 0."""
+    """An untrained network's target scale in ``gradient_check``: the largest absolute target, or 1.0
+    when every target is 0."""
     peak = float(np.max(np.abs(target)))
     return peak if peak > 0 else 1.0
 
@@ -295,19 +296,16 @@ def _loss_and_grads(weights, biases, activations, widths, x, y, grads_w, grads_b
 
 
 def train(
-    model: MlpModel,
-    train_matrix: DesignMatrix,
-    cfg: TrainConfig,
-    target_scale: float | None = None,
+    model: MlpModel, train_matrix: DesignMatrix, cfg: TrainConfig, target_scale: float
 ) -> tuple[MlpModel, TrainHistory]:
     """Mini-batch Adam on scaled MSE; returns a new model.
 
     The input scaler is fit on ``train_matrix`` here, so training data never
-    leaks evaluation statistics. Batches are drawn by a PCG64 shuffle each
-    epoch; with a fixed (data, seed, config) the result is identical across
-    runs. ``target_scale`` defaults to the maximum training target (the
-    plant's rated power is the conventional choice). This is a stack of one
-    (see ``train_stack``), so a diverging network raises its ``NonFiniteLoss``.
+    leaks evaluation statistics. Every target is divided by ``target_scale``,
+    a finite number > 0 (the plant's rated power in every command). Batches
+    are drawn by a PCG64 shuffle each epoch; with a fixed (data, seed, config)
+    the result is identical across runs. This is a stack of one (see
+    ``train_stack``), so a diverging network raises its ``NonFiniteLoss``.
     """
     (fit,) = train_stack([model], [train_matrix], cfg, target_scale)
     if isinstance(fit, NonFiniteLoss):
@@ -316,16 +314,14 @@ def train(
 
 
 def train_stack(
-    models,
-    train_matrices,
-    cfg: TrainConfig,
-    target_scale: float | None = None,
+    models, train_matrices, cfg: TrainConfig, target_scale: float
 ) -> list[tuple[MlpModel, TrainHistory] | NonFiniteLoss]:
     """Train networks ``models[i]`` on ``train_matrices[i]`` as one stack.
 
     The matrices must have the same row count, so every network draws the
     same mini-batches; each mini-batch step then makes one set of numpy calls
-    for the whole stack. Inputs are zero-padded to the widest network. Each
+    for the whole stack. Every target is divided by the one ``target_scale``, a
+    finite number > 0. Inputs are zero-padded to the widest network. Each
     result equals ``train`` of that network alone, bit for bit: the networks
     share no arithmetic, and their padded weight columns start at 0 and get a
     gradient of exactly 0, so Adam keeps them at 0. A network whose loss
@@ -345,16 +341,13 @@ def train_stack(
     if n < cfg.batch_size:
         raise InvalidConfig(f"batch_size {cfg.batch_size} exceeds training rows {n}")
     scalers = [fit_scaler(m) for m in train_matrices]
-    scales = [
-        _real("target_scale", _peak_scale(m.target) if target_scale is None else target_scale, 0)
-        for m in train_matrices
-    ]
+    target_scale = _real("target_scale", target_scale, 0)
 
     theta, sizes, weights, biases = _stack_params(models)
     x = np.zeros((len(models), n, sizes[0]))
     for i, (scaler, m) in enumerate(zip(scalers, train_matrices)):
         x[i, :, : m.k] = scaler.transform_array(m.rows)
-    y = np.stack([m.target / scale for m, scale in zip(train_matrices, scales)])
+    y = np.stack([m.target / target_scale for m in train_matrices])
     widths = [model.input_dim for model in models]
     activations = models[0].activations
 
@@ -403,7 +396,7 @@ def train_stack(
                 weights=(weights[0][i, :, : model.input_dim], *(w[i] for w in weights[1:])),
                 biases=tuple(b[i] for b in biases),
                 input_scaler=scalers[i],
-                target_scale=scales[i],
+                target_scale=target_scale,
             ),
             TrainHistory(losses=tuple(epoch_losses[i] for epoch_losses in losses)),
         )

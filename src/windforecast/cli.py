@@ -159,7 +159,7 @@ def _one_row_sweep(command: str, args) -> harness.SweepConfig:
         degrees=(args.degree,) if args.model == "polynomial" else (),
         models=(args.model,),
         seed=args.seed,
-        ann_train=ann.TrainConfig(epochs=args.epochs, seed=args.seed),
+        epochs=args.epochs,
         persistence_horizons=(args.horizon,) if args.model == "persistence" else (),
     )
 
@@ -210,7 +210,7 @@ def _cmd_sweep(args) -> int:
         degrees=args.degree,
         models=tuple(m.strip() for m in args.model.split(",") if m.strip()),
         seed=args.seed,
-        ann_train=ann.TrainConfig(epochs=args.epochs, seed=args.seed),
+        epochs=args.epochs,
         persistence_horizons=args.horizons,
     )
     rows = _run_sweep(dataset, cfg)
@@ -290,8 +290,8 @@ def _cmd_reproduce(args) -> int:
     # every setting is checked before the first file is written
     synthetic = SyntheticConfig(n_samples=args.n_samples, seed=args.seed)
     grid = dict(train_fractions=(_FEATURED_FRACTION, 0.70), degrees=(2, 5)) if args.quick else {}
-    ann_train = ann.TrainConfig(epochs=min(args.epochs, 3) if args.quick else args.epochs, seed=args.seed)
-    cfg = harness.SweepConfig(seed=args.seed, ann_train=ann_train, **grid)
+    epochs = min(args.epochs, 3) if args.quick else args.epochs
+    cfg = harness.SweepConfig(seed=args.seed, epochs=epochs, **grid)
 
     t0 = time.time()
     dataset = generate_synthetic(synthetic)

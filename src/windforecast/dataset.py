@@ -47,6 +47,11 @@ def _is_int(value) -> bool:
     return not isinstance(value, bool) and isinstance(value, (int, np.integer))
 
 
+def _is_real(value) -> bool:
+    """Whether ``value`` is an int, float or numpy number that ``_real`` reads; a bool or string is not."""
+    return _is_int(value) or isinstance(value, (float, np.floating))
+
+
 def _integer(name: str, value, low: int | None = None) -> int:
     """A config value as a plain int; refused unless an integer (see ``_is_int``) >= ``low``, if given."""
     if not _is_int(value):
@@ -94,7 +99,7 @@ def _real(name: str, value, low: int | None = None, error: type[DataError] = Inv
     numpy number (a bool or a string is not, so none is misread) that is finite and > ``low``, if given."""
     shown = None
     try:
-        number = float(value) if _is_int(value) or isinstance(value, (float, np.floating)) else math.nan
+        number = float(value) if _is_real(value) else math.nan
     except OverflowError:  # an int beyond the float range, whose repr may be too long to make
         number, shown = math.inf, "an integer beyond the float range"
     if not (math.isfinite(number) and (low is None or number > low)):
@@ -103,13 +108,22 @@ def _real(name: str, value, low: int | None = None, error: type[DataError] = Inv
     return number
 
 
+def _entries(name: str, values, error: type[DataError] = InvalidConfig) -> np.ndarray:
+    """``values`` as a new object array of its entries; a ragged sequence, such as arrays of unequal shapes,
+    is refused with ``error``."""
+    try:
+        return np.array(values, dtype=object)
+    except ValueError:
+        raise error(f"{name} must have one shape, got a ragged sequence") from None
+
+
 def _checked_reals(name: str, values, error: type[DataError] = InvalidConfig, finite: bool = True) -> np.ndarray:
     """Numbers as a float64 array: a finite float64 array comes back as it is, uncopied,
     anything else is checked entry by entry with ``_real``, so no bool or string is read as a number.
     With ``finite`` false a float may also be NaN or infinite, and any float64 array comes back as it is."""
     if type(values) is np.ndarray and values.dtype == np.float64 and (not finite or np.isfinite(values).all()):
         return values
-    entries = np.asarray(values, dtype=object)
+    entries = _entries(name, values, error)
     return np.array([
         v if not finite and isinstance(v, (float, np.floating)) else _real(name, v, error=error)
         for v in entries.flat
@@ -182,7 +196,7 @@ class Dataset:
     """
 
     def __init__(self, timestamps, wind_speed, wind_direction, temperature, power, rated_power: float | None):
-        stamps = np.array(timestamps, dtype=object)
+        stamps = _entries("timestamps", timestamps)
         # a non-finite value passes, so that _row_problems names its row
         columns = {
             name: _reals(name, values, finite=False)
@@ -366,9 +380,13 @@ class MinMaxScaler:
             raise InvalidConfig("mins and maxs need max >= min for every feature")
 
     def transform_array(self, x: np.ndarray) -> np.ndarray:
+        x = _checked_reals("x", x, finite=False)
+        if x.ndim != 2 or x.shape[1] != len(self.mins):
+            width = len(self.mins)
+            raise InvalidConfig(f"x must have shape (n, {width}), one column per feature, got shape {x.shape}")
         span = self.maxs - self.mins
         constant = span == 0
-        scaled = (_checked_reals("x", x, finite=False) - self.mins) / np.where(constant, 1.0, span)
+        scaled = (x - self.mins) / np.where(constant, 1.0, span)
         # constant feature: span forced to 1 above, numerator is 0 on the
         # training range; zero it explicitly so unseen values also map to 0
         if np.any(constant):
@@ -391,11 +409,12 @@ def physical_power(v, rho: float, cp: float, area: float):
     never depends on v's scale: doubling v scales a normal output by exactly 8. A subnormal output
     (below 2.2250738585072014e-308 kW) lies on a fixed 2**-1074 grid, where f(2v) == 8*f(v) can fail.
     """
-    if cp > BETZ_LIMIT:
+    if _is_real(cp) and cp > BETZ_LIMIT:
         raise BetzViolation(f"power coefficient {_text(cp)} exceeds {BETZ_LIMIT}")
-    v_arr = np.asarray(v, dtype=np.float64)
+    v_arr = _checked_reals("v", v)
+    rho, cp, area = _real("rho", rho), _real("cp", cp), _real("area", area)
     if np.any(v_arr < 0) or rho < 0 or cp < 0 or area < 0:
-        raise ValueError("wind speed, density, power coefficient and area must be >= 0")
+        raise InvalidConfig("wind speed, density, power coefficient and area must be >= 0")
     m, e = np.frexp(v_arr)
     result = np.ldexp(0.5 * rho * cp * area * (m * m * m) / 1000.0, 3 * e)
     return float(result) if np.isscalar(v) or v_arr.ndim == 0 else result
@@ -444,7 +463,7 @@ def power_curve(config: SyntheticConfig, v) -> np.ndarray:
     Zero below cut-in and above cut-out; the cubic kinetic-energy law capped
     at rated power on [cut_in, rated]; rated power on (rated, cut_out].
     """
-    v = np.asarray(v, dtype=np.float64)
+    v = _checked_reals("v", v)
     ramp = (v >= config.cut_in_speed) & (v <= config.rated_speed)
     plateau = (v > config.rated_speed) & (v <= config.cut_out_speed)
     # the law on ramp speeds only: a speed below 0 reads 0, like any other below cut-in

@@ -69,13 +69,13 @@ class SweepConfig:
     degrees: tuple[int, ...] = (2, 3, 4, 5)
     models: tuple[str, ...] = MODEL_ORDER
     seed: int = 42
-    ann_train: ann.TrainConfig = ann.TrainConfig(seed=42)
+    epochs: int = 20
     persistence_horizons: tuple[int, ...] = DEFAULT_HORIZONS
 
     def __post_init__(self):
+        # epochs first, so its error reads the same whatever else is wrong
+        object.__setattr__(self, "epochs", _integer("epochs", self.epochs, 1))
         object.__setattr__(self, "seed", _integer("seed", self.seed, 0))
-        if not isinstance(self.ann_train, ann.TrainConfig):
-            raise InvalidConfig(f"ann_train must be an ann.TrainConfig, got {_shown(self.ann_train)}")
         checks = {
             # the split states its own range
             "train_fractions": lambda f: SplitSpec(train_fraction=f, seed=self.seed).train_fraction,
@@ -309,11 +309,12 @@ def run_sweep(d: Dataset, cfg: SweepConfig = SweepConfig()) -> list[SweepRow]:
     and feature sets; every matrix is indexed out of ``d`` by the split's rows. The
     polynomial rows of one feature set read their models off one chain over the split's
     shuffled row order, with one stop per fraction, and the ANN rows of one fraction
-    train once, as one stack: a diverged network fails its own row, any other training
-    error every ANN row. The stacks are trained before the first row, each fraction's in
-    one of ``_forked_map``'s worker processes. Only test matrices are kept: each model row
-    keeps the one it is scored on, shared with the other rows of its (fraction, feature
-    set), and each scored row its fitted model and, for the ANN, its loss history.
+    train once, as one stack, for ``cfg.epochs`` epochs from the sweep seed: a diverged
+    network fails its own row, any other training error every ANN row. The stacks are
+    trained before the first row, each fraction's in one of ``_forked_map``'s worker
+    processes. Only test matrices are kept: each model row keeps the one it is scored on,
+    shared with the other rows of its (fraction, feature set), and each scored row its
+    fitted model and, for the ANN, its loss history.
     Identical inputs yield an identical row list.
     """
 
@@ -340,8 +341,9 @@ def run_sweep(d: Dataset, cfg: SweepConfig = SweepConfig()) -> list[SweepRow]:
     def train(fraction: float) -> list | Exception:
         try:
             trains = [select_features(d, fs, sides(fraction)[0]) for fs in cfg.feature_sets]
-            nets = [ann.init_network(m.k, seed=cfg.ann_train.seed) for m in trains]
-            return ann.train_stack(nets, trains, cfg.ann_train, d.rated_power)
+            nets = [ann.init_network(m.k, seed=cfg.seed) for m in trains]
+            return ann.train_stack(nets, trains, ann.TrainConfig(epochs=cfg.epochs, seed=cfg.seed),
+                                   d.rated_power)
         except Exception as exc:
             return exc
 
@@ -423,7 +425,7 @@ def sweep_json(rows: list[SweepRow], cfg: SweepConfig) -> str:
             "seed": cfg.seed,
             "persistence_horizons": list(cfg.persistence_horizons),
             # Adam is the one optimizer; the field stays, so the v1 schema keeps every byte
-            "ann_train": {**asdict(cfg.ann_train), "optimizer": "adam"},
+            "ann_train": {**asdict(ann.TrainConfig(epochs=cfg.epochs, seed=cfg.seed)), "optimizer": "adam"},
         },
         "rows": [dict(zip(SWEEP_COLUMNS, _row_values(row))) for row in rows],
     }

@@ -10,14 +10,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import _checked_reals
+from .dataset import _checked_reals, _entries
 from .errors import ConstantActual, Empty, LengthMismatch
 
 
 def _paired(actual, predicted, names=("actual", "predicted"), score: str = "") -> tuple[np.ndarray, np.ndarray]:
     """Two vectors, raveled; refused unless their lengths are equal and, for a named ``score``, unless they
     are empty, and then read through the number rule (NaN and +-inf pass), so a length is judged first."""
-    pair = [v if type(v) is np.ndarray else np.asarray(v, dtype=object) for v in (actual, predicted)]
+    pair = [v if type(v) is np.ndarray else _entries(name, v) for name, v in zip(names, (actual, predicted))]
     if pair[0].size != pair[1].size:
         raise LengthMismatch(f"length {pair[0].size} vs {pair[1].size}")
     if score and pair[0].size == 0:

@@ -164,7 +164,7 @@ def test_criterion_4_model_ordering_on_default_synthetic(full_dataset):
             degrees=(5,),
             models=("linear", "polynomial", "ann"),
             seed=seed,
-            ann_train=ann.TrainConfig(epochs=20, batch_size=32, learning_rate=1e-3, seed=seed),
+            epochs=20,
         )
         rows = run_sweep(full_dataset, cfg)
         assert all(r.error is None for r in rows)

@@ -184,7 +184,7 @@ def test_gradient_check_and_train_reject_wrong_width():
     with pytest.raises(DimensionMismatch, match="model expects 2 features, got 3"):
         gradient_check(net, three_columns)
     with pytest.raises(DimensionMismatch, match="model expects 2 features, got 3"):
-        train(net, three_columns, TrainConfig(batch_size=4))
+        train(net, three_columns, TrainConfig(batch_size=4), 1.0)
 
 
 def test_one_row_predict_agrees_with_its_row_of_a_batch():
@@ -228,7 +228,7 @@ def test_toy_line_learnable():
     m = dm(x, 2.0 * x)
     net = init_network(1, seed=3)
     cfg = TrainConfig(epochs=50, batch_size=32, learning_rate=0.01, seed=4)
-    _, history = train(net, m, cfg)
+    _, history = train(net, m, cfg, 2.0)
     assert len(history.losses) == 50
     assert history.losses[-1] < 0.01 * history.losses[0]
 
@@ -295,7 +295,7 @@ def test_train_leaves_input_model_untouched():
 def test_train_batch_size_exceeds_rows():
     m = dm(np.linspace(0, 1, 8), np.linspace(0, 1, 8))
     with pytest.raises(InvalidConfig):
-        train(init_network(1, seed=0), m, TrainConfig(batch_size=16))
+        train(init_network(1, seed=0), m, TrainConfig(batch_size=16), 1.0)
 
 
 @pytest.mark.parametrize("target_scale", [0.0, math.nan, math.inf, -1.0, True, "2"])
@@ -316,7 +316,7 @@ def test_train_divergence_raises_non_finite_loss():
     cfg = TrainConfig(epochs=5, learning_rate=1e200, seed=0)
     with np.errstate(all="ignore"):  # overflow on the way to divergence is the point
         with pytest.raises(NonFiniteLoss) as exc:
-            train(init_network(1, seed=1), m, cfg)
+            train(init_network(1, seed=1), m, cfg, 2.0)
     assert (exc.value.epoch, exc.value.learning_rate) == (1, 1e200)
 
 
@@ -436,10 +436,10 @@ def test_stack_matches_single_networks_bit_for_bit(monkeypatch):
         return losses
 
     monkeypatch.setattr(ann, "_loss_and_grads", recording)
-    alone = [train(net, m, cfg) for net, m in zip(nets, mats)]
+    alone = [train(net, m, cfg, d.rated_power) for net, m in zip(nets, mats)]
     alone_steps = [step for (step,) in steps]
     steps.clear()
-    stacked = ann.train_stack(nets, mats, cfg)
+    stacked = ann.train_stack(nets, mats, cfg, d.rated_power)
 
     # rounding differences in a gradient can vanish in the update, so every
     # step's gradient is compared, not only the trained weights
@@ -465,9 +465,9 @@ def test_stack_divergence_fails_only_its_own_network(monkeypatch):
     calm = init_network(1, seed=1)
     wild = replace(calm, weights=tuple(w * 1e160 for w in calm.weights))
     cfg = TrainConfig(epochs=2, seed=0)
-    alone, alone_history = train(calm, m, cfg)
+    alone, alone_history = train(calm, m, cfg, 2.0)
     with np.errstate(all="ignore"):  # overflow on the way to divergence is the point
-        first, failed, last = ann.train_stack([calm, wild, calm], [m, m, m], cfg)
+        first, failed, last = ann.train_stack([calm, wild, calm], [m, m, m], cfg, 2.0)
     assert type(failed) is NonFiniteLoss and failed.epoch == 1
     for got, history in (first, last):
         assert history.losses == alone_history.losses
@@ -479,7 +479,7 @@ def test_stack_divergence_fails_only_its_own_network(monkeypatch):
     loss_and_grads = ann._loss_and_grads
     monkeypatch.setattr(ann, "_loss_and_grads", lambda *a: steps.append(1) or loss_and_grads(*a))
     with np.errstate(all="ignore"):
-        results = ann.train_stack([wild, wild], [m, m], cfg)
+        results = ann.train_stack([wild, wild], [m, m], cfg, 2.0)
     assert [(type(r), r.epoch) for r in results] == [(NonFiniteLoss, 1)] * 2
     assert len(steps) == 1
 
@@ -490,13 +490,13 @@ def test_stack_validation():
     m3 = select_features(d, FeatureSet.SPEED_DIRECTION_TEMPERATURE)
     cfg = TrainConfig(epochs=1)
     with pytest.raises(InvalidConfig, match="share the training row count"):
-        ann.train_stack([init_network(1), init_network(1)], [m1, dm(m1.rows[:40], m1.target[:40])], cfg)
+        ann.train_stack([init_network(1), init_network(1)], [m1, dm(m1.rows[:40], m1.target[:40])], cfg, 1.0)
     with pytest.raises(InvalidConfig, match="one training matrix per network"):
-        ann.train_stack([init_network(1)], [m1, m1], cfg)
+        ann.train_stack([init_network(1)], [m1, m1], cfg, 1.0)
     with pytest.raises(DimensionMismatch):
-        ann.train_stack([init_network(1), init_network(1)], [m1, m3], cfg)
+        ann.train_stack([init_network(1), init_network(1)], [m1, m3], cfg, 1.0)
     with pytest.raises(InvalidArchitecture, match="share hidden widths"):
-        ann.train_stack([init_network(1), init_network(3, hidden=(8, 8, 8, 8))], [m1, m3], cfg)
+        ann.train_stack([init_network(1), init_network(3, hidden=(8, 8, 8, 8))], [m1, m3], cfg, 1.0)
 
 
 def test_sigmoid_matches_masked_reference_bit_for_bit():

@@ -322,7 +322,7 @@ def test_fit_agrees_with_sweep_row(data_csv, capsys, model, degree):
         feature_sets=(FeatureSet.SPEED_DIRECTION,),
         degrees=(degree,),
         models=(model,),
-        ann_train=ann.TrainConfig(epochs=2, seed=42),
+        epochs=2,
     )
     (row,) = run_sweep(parse_csv(data_csv.read_bytes()), cfg)
     report = row.report

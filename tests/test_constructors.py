@@ -23,7 +23,7 @@ import pytest
 from windforecast.ann import MlpModel, TrainConfig, TrainHistory, init_network
 from windforecast.dataset import (
     CSV_HEADER, Dataset, DesignMatrix, FeatureSet, MinMaxScaler, SplitSpec, SyntheticConfig, _checked_reals,
-    _integer, _is_int, _shown, physical_power,
+    _integer, _is_int, _shown, physical_power, power_curve,
 )
 from windforecast.errors import (
     BetzViolation, DataError, DegreeOutOfRange, FeatureMismatch, InvalidArchitecture, InvalidConfig, MalformedModel,
@@ -55,6 +55,7 @@ HOSTILE = [
     ("zeros((2, 2, 2))", np.zeros((2, 2, 2))),
     ("{}", {}),
     ("[None, None, None]", [None, None, None]),
+    ("[zeros((2, 2)), zeros((2, 3))]", [np.zeros((2, 2)), np.zeros((2, 3))]),
 ]
 
 
@@ -68,7 +69,7 @@ def _valid_calls():
         ("TrainConfig", TrainConfig, asdict(TrainConfig(epochs=1, batch_size=2))),
         ("SweepConfig", SweepConfig, dict(
             train_fractions=(0.8,), feature_sets=(FeatureSet.SPEED_ONLY,), degrees=(2,),
-            models=("persistence", "linear"), seed=1, ann_train=TrainConfig(), persistence_horizons=(1,),
+            models=("persistence", "linear"), seed=1, epochs=1, persistence_horizons=(1,),
         )),
         ("MlpModel", MlpModel, dict(
             layer_sizes=net.layer_sizes, activations=net.activations, weights=net.weights, biases=net.biases,
@@ -99,6 +100,8 @@ def _valid_calls():
         ("CorrelationMatrix", CorrelationMatrix,
          dict(labels=("wind_speed", "power"), values=[[1.0, 0.5], [0.5, 1.0]])),
         ("TrainHistory", TrainHistory, dict(losses=(0.5, 0.25))),
+        ("physical_power", physical_power, dict(v=5.0, rho=1.2, cp=0.4, area=1.0)),
+        ("power_curve", functools.partial(power_curve, SyntheticConfig()), dict(v=7.0)),
     ]
 
 
@@ -367,9 +370,24 @@ def test_a_number_in_an_error_text_is_printed_as_str_prints_it_or_by_its_size(ca
         (lambda: CorrelationMatrix(("a", "b"), "x"), "^values must be finite, got 'x'$"),
         (lambda: CorrelationMatrix(("a", "b"), np.eye(3)),
          r"^values must be 2 x 2, one per label pair, got shape \(3, 3\)$"),
+        (lambda: physical_power("5", 1.2, 0.4, 1.0), "^v must be finite, got '5'$"),
+        (lambda: physical_power(True, 1.2, 0.4, 1.0), "^v must be finite, got True$"),
+        (lambda: physical_power(5.0, "1.2", 0.4, 1.0), "^rho must be finite, got '1.2'$"),
+        (lambda: power_curve(SyntheticConfig(), "7"), "^v must be finite, got '7'$"),
+        (lambda: power_curve(SyntheticConfig(), None), "^v must be finite, got None$"),
+        (lambda: mae([np.zeros((2, 2)), np.zeros((2, 3))], [1.0, 2.0]),
+         "^actual must have one shape, got a ragged sequence$"),
+        (lambda: DesignMatrix(rows=[np.zeros((2, 2)), np.zeros((2, 3))], target=[1.0, 2.0], feature_names=("a", "b")),
+         "^rows must have one shape, got a ragged sequence$"),
+        (lambda: MinMaxScaler(mins=[0.0], maxs=[2.0]).transform_array(np.ones((3, 2))),
+         r"^x must have shape \(n, 1\), one column per feature, got shape \(3, 2\)$"),
+        (lambda: MinMaxScaler(mins=[0.0], maxs=[2.0]).transform_array([1.0]),
+         r"^x must have shape \(n, 1\), one column per feature, got shape \(1,\)$"),
     ],
     ids=["bool", "string", "none", "none-entry", "bool-pair", "string-pair", "none-scaled", "history-scalar",
-         "history-string", "labels-string", "values-string", "values-shape"],
+         "history-string", "labels-string", "values-string", "values-shape", "string-speed", "bool-speed",
+         "string-density", "string-curve-speed", "none-curve-speed", "ragged-scored", "ragged-rows", "scaler-width",
+         "scaler-1d"],
 )
 def test_a_scored_vector_or_result_of_no_numbers_is_refused_naming_it(call, message):
     with pytest.raises(InvalidConfig, match=message):

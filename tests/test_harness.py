@@ -63,9 +63,6 @@ def power_series(powers, rated_power=2000.0):
     )
 
 
-FAST_ANN = ann.TrainConfig(epochs=2, seed=42)
-
-
 # -- persistence --------------------------------------------------------------
 
 def test_persistence_shift_by_one():
@@ -101,7 +98,7 @@ def test_persistence_error_grows_with_horizon(synthetic_5k):
 @pytest.fixture(scope="module")
 def tiny_sweep():
     d = generate_synthetic(SyntheticConfig(n_samples=600, seed=20))
-    cfg = SweepConfig(ann_train=FAST_ANN)
+    cfg = SweepConfig(epochs=2)
     return d, cfg, run_sweep(d, cfg)
 
 
@@ -165,7 +162,7 @@ def test_sweep_single_row_reproducible(tiny_sweep):
         degrees=(3,),
         models=("polynomial",),
         seed=cfg.seed,
-        ann_train=cfg.ann_train,
+        epochs=cfg.epochs,
     )
     (solo,) = run_sweep(d, solo_cfg)
     assert solo.report == target.report
@@ -265,7 +262,7 @@ def test_sweep_records_failures_without_aborting():
         train_fractions=(0.5,),
         feature_sets=(FeatureSet.SPEED_ONLY,),
         degrees=(5,),  # 5 train rows cannot support 6 coefficients
-        ann_train=FAST_ANN,  # batch 32 > 5 rows
+        epochs=2,  # the ANN fails: its batch of 32 exceeds 5 train rows
         persistence_horizons=(1, 96),  # 96 > 10 rows
     )
     rows = run_sweep(d, cfg)
@@ -298,7 +295,7 @@ PINNED_ANN_ROWS = {
 
 def test_ann_sweep_rows_are_pinned():
     d = generate_synthetic(SyntheticConfig(n_samples=2000, seed=42))
-    cfg = SweepConfig(train_fractions=(0.85, 0.7), models=("ann",), ann_train=FAST_ANN)
+    cfg = SweepConfig(train_fractions=(0.85, 0.7), models=("ann",), epochs=2)
     rows = run_sweep(d, cfg)
     got = {
         (r.feature_set.tag, r.train_fraction): tuple(
@@ -325,7 +322,7 @@ def explode_speed_only(monkeypatch):
 
 def test_sweep_divergence_fails_only_its_own_row(monkeypatch):
     d = generate_synthetic(SyntheticConfig(n_samples=400, seed=42))
-    cfg = SweepConfig(train_fractions=(0.85, 0.7), models=("ann",), ann_train=FAST_ANN)
+    cfg = SweepConfig(train_fractions=(0.85, 0.7), models=("ann",), epochs=2)
     calm = run_sweep(d, replace(cfg, feature_sets=tuple(FeatureSet)[1:]))
     explode_speed_only(monkeypatch)
     with np.errstate(all="ignore"):  # overflow on the way to divergence is the point
@@ -343,7 +340,7 @@ def test_sweep_divergence_fails_only_its_own_row(monkeypatch):
 
 def test_sweep_trains_each_fraction_once_when_a_network_diverges(monkeypatch):
     d = generate_synthetic(SyntheticConfig(n_samples=400, seed=42))
-    cfg = SweepConfig(train_fractions=(0.85, 0.7), models=("ann",), ann_train=FAST_ANN)
+    cfg = SweepConfig(train_fractions=(0.85, 0.7), models=("ann",), epochs=2)
     explode_speed_only(monkeypatch)
     # one process, so that every call reaches the list below
     monkeypatch.setattr(harness, "_usable_cores", lambda: 1)
@@ -363,7 +360,7 @@ def test_sweep_trains_each_fraction_once_when_a_network_diverges(monkeypatch):
 
 def test_sweep_trains_each_fraction_once_across_worker_processes(monkeypatch, tmp_path):
     d = generate_synthetic(SyntheticConfig(n_samples=400, seed=42))
-    cfg = SweepConfig(train_fractions=(0.85, 0.7, 0.6), models=("ann",), ann_train=FAST_ANN)
+    cfg = SweepConfig(train_fractions=(0.85, 0.7, 0.6), models=("ann",), epochs=2)
     explode_speed_only(monkeypatch)
     monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
     log = tmp_path / "stacks.log"
@@ -385,10 +382,9 @@ def test_sweep_trains_each_fraction_once_across_worker_processes(monkeypatch, tm
 
 
 def test_sweep_gives_the_same_rows_and_bytes_in_one_process_or_several(monkeypatch):
-    # 100 rows: fraction 0.5 trains on 50, fewer than a batch of 64; speed_only diverges everywhere
-    d = generate_synthetic(SyntheticConfig(n_samples=100, seed=42))
-    cfg = SweepConfig(train_fractions=(0.9, 0.5, 0.8), models=("linear", "ann"),
-                      ann_train=ann.TrainConfig(epochs=2, batch_size=64, seed=42))
+    # 60 rows: fraction 0.5 trains on 30, fewer than a batch of 32; speed_only diverges everywhere
+    d = generate_synthetic(SyntheticConfig(n_samples=60, seed=42))
+    cfg = SweepConfig(train_fractions=(0.9, 0.5, 0.8), models=("linear", "ann"), epochs=2)
     explode_speed_only(monkeypatch)
     runs = {}
     for cores in (1, 2, 3):
@@ -397,7 +393,7 @@ def test_sweep_gives_the_same_rows_and_bytes_in_one_process_or_several(monkeypat
             runs[cores] = run_sweep(d, cfg)
     serial = runs[1]
     errors = [r.error for r in serial if r.model == "ann"]
-    assert errors.count("InvalidConfig: batch_size 64 exceeds training rows 50") == 4
+    assert errors.count("InvalidConfig: batch_size 32 exceeds training rows 30") == 4
     assert sum(e is not None and e.startswith("NonFiniteLoss") for e in errors) == 2
     assert sum(e is None for e in errors) == 6
     for cores in (2, 3):
@@ -413,7 +409,7 @@ def test_a_worker_that_exits_without_its_results_fails_only_its_own_rows(monkeyp
     import multiprocessing
 
     d = generate_synthetic(SyntheticConfig(n_samples=200, seed=42))
-    cfg = SweepConfig(train_fractions=(0.85, 0.7), models=("ann",), ann_train=FAST_ANN)
+    cfg = SweepConfig(train_fractions=(0.85, 0.7), models=("ann",), epochs=2)
     parent, train_stack = os.getpid(), ann.train_stack
 
     def dying(models, *args):
@@ -434,7 +430,7 @@ def test_a_worker_that_sends_part_of_its_results_fails_only_its_own_rows(monkeyp
     import multiprocessing
 
     d = generate_synthetic(SyntheticConfig(n_samples=200, seed=42))
-    cfg = SweepConfig(train_fractions=(0.85, 0.7), models=("ann",), ann_train=FAST_ANN)
+    cfg = SweepConfig(train_fractions=(0.85, 0.7), models=("ann",), epochs=2)
 
     def cut_short(writer, fn, items):
         # a message header that promises 1 MiB, then 7 bytes of it
@@ -462,7 +458,7 @@ def test_an_exception_that_does_not_pickle_reads_the_same_from_a_worker(monkeypa
         pass
 
     d = generate_synthetic(SyntheticConfig(n_samples=200, seed=42))
-    cfg = SweepConfig(train_fractions=(0.85, 0.7, 0.6), models=("ann",), ann_train=FAST_ANN)
+    cfg = SweepConfig(train_fractions=(0.85, 0.7, 0.6), models=("ann",), epochs=2)
     for error in (LocalError("no pickle"), _TwoPartError("pickles", "does not unpickle")):
         def failing(models, *args):
             raise error
@@ -520,7 +516,7 @@ def test_usable_cores_is_one_while_another_python_thread_runs():
 
 def _pool_sweep() -> tuple[int, list]:
     d = generate_synthetic(SyntheticConfig(n_samples=200, seed=42))
-    cfg = SweepConfig(train_fractions=(0.85, 0.7), models=("ann",), ann_train=FAST_ANN)
+    cfg = SweepConfig(train_fractions=(0.85, 0.7), models=("ann",), epochs=2)
     return harness._usable_cores(), [r.error for r in run_sweep(d, cfg)]
 
 
@@ -535,7 +531,7 @@ def test_a_sweep_in_a_daemonic_pool_worker_trains_in_that_worker_alone():
 
 def test_sweep_batch_larger_than_train_rows_fails_every_ann_row_of_that_fraction():
     d = generate_synthetic(SyntheticConfig(n_samples=40, seed=2))
-    cfg = SweepConfig(train_fractions=(0.9, 0.5), models=("ann",), ann_train=FAST_ANN)
+    cfg = SweepConfig(train_fractions=(0.9, 0.5), models=("ann",), epochs=2)
     rows = run_sweep(d, cfg)
     assert len(rows) == 8
     for row in rows:
@@ -627,14 +623,12 @@ def _wrong_kind_cases():
         SyntheticConfig: [f.name for f in dataclass_fields(SyntheticConfig)],
         SplitSpec: ["train_fraction", "seed"],
         ann.TrainConfig: ["epochs", "batch_size", "learning_rate", "seed"],
-        SweepConfig: ["seed"],
+        SweepConfig: ["seed", "epochs"],
     }
     for config, names in numbers.items():
         for name in names:
             for value in (True, "1", None, math.nan):
                 yield config, name, value
-    for value in (None, True, "adam", math.nan):
-        yield SweepConfig, "ann_train", value
     # a scalar and a string per axis, then one-value axes of the wrong kind
     axes = {
         "train_fractions": (0.8, "0.8"),
@@ -662,17 +656,30 @@ def test_configs_store_numpy_scalars_as_plain_numbers():
     synthetic = SyntheticConfig(n_samples=np.int64(5), noise_sd=np.float32(2.5), seed=np.int64(3))
     spec = SplitSpec(train_fraction=np.float64(0.8), seed=np.int64(3))
     train = ann.TrainConfig(epochs=np.int32(2), learning_rate=np.float64(0.01), seed=np.int64(3))
-    sweep = SweepConfig(train_fractions=np.array([0.8, 0.9]), seed=np.int64(3), ann_train=train)
-    ints = (synthetic.n_samples, synthetic.seed, spec.seed, train.epochs, train.seed, sweep.seed)
+    sweep = SweepConfig(train_fractions=np.array([0.8, 0.9]), seed=np.int64(3), epochs=np.int32(2))
+    ints = (synthetic.n_samples, synthetic.seed, spec.seed, train.epochs, train.seed, sweep.seed, sweep.epochs)
     floats = (synthetic.noise_sd, spec.train_fraction, train.learning_rate, *sweep.train_fractions)
     assert [type(v) for v in ints] == [int] * len(ints)
     assert [type(v) for v in floats] == [float] * len(floats)
 
 
 def test_sweep_json_echoes_numpy_seeds_as_plain_ints():
-    numpy_seeds = SweepConfig(seed=np.int64(3), ann_train=ann.TrainConfig(seed=np.int64(3)))
-    plain_seeds = SweepConfig(seed=3, ann_train=ann.TrainConfig(seed=3))
+    numpy_seeds = SweepConfig(seed=np.int64(3), epochs=np.int64(5))
+    plain_seeds = SweepConfig(seed=3, epochs=5)
     assert sweep_json([], numpy_seeds) == sweep_json([], plain_seeds)
+
+
+def test_sweep_json_echoes_the_training_recipe_from_the_sweep_seed_and_epochs():
+    config = json.loads(sweep_json([], SweepConfig(seed=7, epochs=3)))["config"]
+    assert config["seed"] == 7
+    echoed = [("epochs", 3), ("batch_size", 32), ("learning_rate", 0.001), ("seed", 7), ("optimizer", "adam")]
+    assert list(config["ann_train"].items()) == echoed
+
+
+def test_sweep_config_judges_epochs_before_its_other_fields():
+    # a command's --epochs error reads the same whatever else is wrong
+    with pytest.raises(InvalidConfig, match="^epochs must be >= 1, got 0$"):
+        SweepConfig(epochs=0, seed=-1, train_fractions=(1.5,), models=("nope",))
 
 
 def test_out_of_bounds_fraction_counts_unphysical_predictions(tiny_sweep):

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from windforecast.dataset import Dataset, physical_power
-from windforecast.errors import BetzViolation, ConstantInput, LengthMismatch
+from windforecast.errors import BetzViolation, ConstantInput, InvalidConfig, LengthMismatch
 from windforecast.stats import (
     CORRELATION_COLUMNS,
     correlation_matrix,
@@ -155,9 +155,10 @@ def test_physical_power_rejects_betz_violation():
 
 
 def test_physical_power_rejects_negative_inputs():
-    with pytest.raises(ValueError):
+    message = "^wind speed, density, power coefficient and area must be >= 0$"
+    with pytest.raises(InvalidConfig, match=message):
         physical_power(-1.0, 1.225, 0.4, 1000.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfig, match=message):
         physical_power(1.0, -1.225, 0.4, 1000.0)
 
 
